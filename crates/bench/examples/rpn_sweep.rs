@@ -1,12 +1,18 @@
-//! Kernel event rate vs cluster size, lanes on and off.
+//! Kernel event rate vs cluster size.
 //!
 //! ```text
 //! cargo run --release -p gage-bench --example rpn_sweep [-- --horizon SECS]
 //! ```
 //!
-//! Sweeps `rpn_count` x `lanes` over the same per-RPN offered load the
-//! hot-path suite uses and prints a markdown table of median-of-3 event
-//! rates. Source of the EXPERIMENTS.md "events/s vs RPN count" table.
+//! Sweeps `rpn_count` over the same per-RPN offered load the hot-path
+//! suite uses and prints a markdown table of median-of-3 event rates.
+//! Source of the EXPERIMENTS.md "events/s vs RPN count" table.
+//!
+//! "Mev/s" counts `ClusterSim::events_processed`, which adds the logical
+//! credits of collapsed per-packet and per-stage events to the physical
+//! queue pops, so it is not a count of real events handled. The benchmark's
+//! `des.pops_per_served` and `des.credits_per_served` report the two
+//! counts separately.
 
 use std::time::Instant;
 
@@ -14,10 +20,9 @@ use gage_bench::hotpath::bench_sites;
 use gage_cluster::{ClusterParams, ClusterSim, ServiceCostModel};
 use gage_des::SimTime;
 
-fn events_per_sec(rpn_count: usize, lanes: usize, horizon: f64) -> f64 {
+fn events_per_sec(rpn_count: usize, horizon: f64) -> f64 {
     let params = ClusterParams {
         rpn_count,
-        lanes,
         service: ServiceCostModel::generic_requests(),
         ..Default::default()
     };
@@ -29,10 +34,8 @@ fn events_per_sec(rpn_count: usize, lanes: usize, horizon: f64) -> f64 {
     sim.events_processed() as f64 / started.elapsed().as_secs_f64()
 }
 
-fn median3(rpn_count: usize, lanes: usize, horizon: f64) -> f64 {
-    let mut v: Vec<f64> = (0..3)
-        .map(|_| events_per_sec(rpn_count, lanes, horizon))
-        .collect();
+fn median3(rpn_count: usize, horizon: f64) -> f64 {
+    let mut v: Vec<f64> = (0..3).map(|_| events_per_sec(rpn_count, horizon)).collect();
     v.sort_by(f64::total_cmp);
     v[1]
 }
@@ -55,11 +58,10 @@ fn main() {
             }
         }
     }
-    println!("| RPNs | lanes=1 (Mev/s) | lanes=4 (Mev/s) |");
-    println!("|---|---|---|");
+    println!("| RPNs | Mev/s |");
+    println!("|---|---|");
     for rpn_count in [4usize, 8, 16, 32] {
-        let l1 = median3(rpn_count, 1, horizon) / 1e6;
-        let l4 = median3(rpn_count, 4, horizon) / 1e6;
-        println!("| {rpn_count} | {l1:.2} | {l4:.2} |");
+        let rate = median3(rpn_count, horizon) / 1e6;
+        println!("| {rpn_count} | {rate:.2} |");
     }
 }

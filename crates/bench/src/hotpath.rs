@@ -479,7 +479,6 @@ struct SimArm {
     rpn_count: usize,
     rdn_count: usize,
     load: f64,
-    lanes: usize,
     trace_capacity: Option<usize>,
 }
 
@@ -489,7 +488,6 @@ fn cluster_events_per_sec(horizon: f64, arm: &SimArm) -> f64 {
     let params = ClusterParams {
         rpn_count: arm.rpn_count,
         rdn_count: arm.rdn_count,
-        lanes: arm.lanes,
         service: ServiceCostModel::generic_requests(),
         ..Default::default()
     };
@@ -512,7 +510,7 @@ fn cluster_events_per_sec(horizon: f64, arm: &SimArm) -> f64 {
 /// every structure swap ultimately has to move — plus the same run with
 /// gage-obs tracing enabled (so the committed baseline carries the tracing
 /// overhead as a first-class measurement), plus a 4×-load 16-RPN topology
-/// with lanes off and on (the dispatch-batching and lane-barrier hot path).
+/// (the dispatch-batching and barrier-flush hot path).
 fn bench_cluster_sim(quick: bool, points: &mut Vec<BenchPoint>) {
     let horizon = if quick { 3.0 } else { 30.0 };
     let samples = if quick { 3 } else { 5 };
@@ -523,7 +521,6 @@ fn bench_cluster_sim(quick: bool, points: &mut Vec<BenchPoint>) {
         rpn_count: 4,
         rdn_count: 1,
         load: 1.0,
-        lanes: 1,
         trace_capacity: None,
     };
     let traced_arm = SimArm {
@@ -556,17 +553,18 @@ fn bench_cluster_sim(quick: bool, points: &mut Vec<BenchPoint>) {
     };
     points.push(point("trace_overhead", "overhead_pct", overhead_pct, true));
 
-    for (name, lanes) in [("cluster_sim_16rpn", 1), ("cluster_sim_16rpn_lanes4", 4)] {
-        let arm = SimArm {
-            rpn_count: 16,
-            rdn_count: 1,
-            load: 4.0,
-            lanes,
-            trace_capacity: None,
-        };
-        let sampled = sample_throughput(samples, || cluster_events_per_sec(horizon, &arm));
-        points.push(throughput_point(name, "events_per_sec", sampled));
-    }
+    let arm = SimArm {
+        rpn_count: 16,
+        rdn_count: 1,
+        load: 4.0,
+        trace_capacity: None,
+    };
+    let sampled = sample_throughput(samples, || cluster_events_per_sec(horizon, &arm));
+    points.push(throughput_point(
+        "cluster_sim_16rpn",
+        "events_per_sec",
+        sampled,
+    ));
 
     // The sharded front end at chaos-test scale (4 RDNs, 32 RPNs): the
     // three benchmark sites hash across the shards, every accounting tick
@@ -578,7 +576,6 @@ fn bench_cluster_sim(quick: bool, points: &mut Vec<BenchPoint>) {
         rpn_count: 32,
         rdn_count: 4,
         load: 8.0,
-        lanes: 1,
         trace_capacity: None,
     };
     let sampled = sample_throughput(samples, || cluster_events_per_sec(horizon, &arm));
@@ -756,7 +753,6 @@ mod tests {
             "cluster_sim_traced",
             "trace_overhead",
             "cluster_sim_16rpn",
-            "cluster_sim_16rpn_lanes4",
             "multi_rdn_sim",
             "audit_reconstruct",
             "lint_workspace",

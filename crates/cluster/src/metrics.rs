@@ -1,6 +1,6 @@
 //! Measurement state and end-of-run reporting for the simulated cluster.
 
-use gage_des::stats::{deviation_pct, BinnedSeries, BusyTracker, DurationHistogram};
+use gage_des::stats::{deviation_pct, BinnedSeries, BusyTracker};
 use gage_des::{SimDuration, SimTime};
 
 /// Fine-grained bin used by all time series; averaging intervals and
@@ -29,8 +29,9 @@ pub struct SubscriberMetrics {
     /// RDN-observed completed requests, recorded when accounting reports
     /// arrive — the paper's GRPS service metric (what Figure 3 plots).
     pub observed_completions: BinnedSeries,
-    /// End-to-end latency of completed requests.
-    pub latency: DurationHistogram,
+    /// Sum of the end-to-end latencies of completed requests, exact to the
+    /// nanosecond; divided by `latency_ms.count()` it gives the exact mean.
+    pub latency_total: SimDuration,
     /// End-to-end latency of completed requests in milliseconds, in the
     /// registry's deterministic log2-bucket histogram (p50/p95/p99 via
     /// [`gage_obs::Histogram::quantile`]).
@@ -49,7 +50,7 @@ impl Default for SubscriberMetrics {
             failed: BinnedSeries::new(METRIC_BIN),
             observed_usage: BinnedSeries::new(METRIC_BIN),
             observed_completions: BinnedSeries::new(METRIC_BIN),
-            latency: DurationHistogram::new(),
+            latency_total: SimDuration::ZERO,
             latency_ms: gage_obs::Histogram::default(),
             queue_wait_ms: gage_obs::Histogram::default(),
         }

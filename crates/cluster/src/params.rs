@@ -307,12 +307,6 @@ pub struct ClusterParams {
     pub watchdog_grace_cycles: f64,
     /// Client-side timeout/retry policy (the `failed` conservation bucket).
     pub client_retry: ClientRetryParams,
-    /// Number of worker threads flushing per-RPN event lanes between
-    /// scheduling-cycle barriers. `1` (the default) flushes inline on the
-    /// simulation thread. Any value produces byte-identical results: lanes
-    /// only change *who* executes each RPN's independent work, never the
-    /// order it is merged back in.
-    pub lanes: usize,
 }
 
 impl Default for ClusterParams {
@@ -335,7 +329,6 @@ impl Default for ClusterParams {
             dynamic: None,
             watchdog_grace_cycles: 4.5,
             client_retry: ClientRetryParams::default(),
-            lanes: 1,
         }
     }
 }

@@ -102,8 +102,8 @@ impl<T> FifoServer<T> {
 /// The queueless core of [`FifoServer`]: a work-conserving FIFO service
 /// line that only tracks *time*, not tags.
 ///
-/// The batched per-RPN lanes use this instead of [`FifoServer`]: a whole
-/// scheduling cycle's arrivals are offered in arrival order and each
+/// Each RPN's per-cycle service batch uses this instead of [`FifoServer`]:
+/// a whole scheduling cycle's arrivals are offered in arrival order and each
 /// request's finish time comes straight back, so no per-item queue entry —
 /// and no per-item completion event — is needed for the intermediate
 /// stages. `offer(ready, service)` is exactly `FifoServer::enqueue` minus

@@ -16,7 +16,7 @@
 //!    (27.2 µs), builds the [`SpliceMap`], and hands the request to its
 //!    *lane*: a per-RPN batch of CPU → disk → NIC service stages evaluated
 //!    in struct-of-arrays fashion at the next scheduling-cycle barrier
-//!    (see [module docs on lanes](#deterministic-per-rpn-lanes)),
+//!    (see [the module docs](#per-cycle-rpn-service-batches)),
 //! 5. the response flows *directly* to the client (sequence/address
 //!    remapped, 4.6 µs per data packet); client ACKs flow back through the
 //!    RDN bridge (7 µs each) to the RPN (1.3 µs remap each) — all charged
@@ -29,26 +29,25 @@
 //! per-packet event traffic is aggregated, with each collapsed packet
 //! credited to the engine's event count via [`Context::count_logical`].
 //!
-//! # Deterministic per-RPN lanes
+//! # Per-cycle RPN service batches
 //!
-//! Each RPN owns an *inbox* of newly arrived requests. Between two
-//! scheduling-cycle barriers nothing reads another RPN's inbox, so
-//! flushing an inbox — chaining each request through the node's CPU, disk
-//! and NIC [`BusyLine`]s and recording its finish times — is independent
-//! per RPN. At the barrier ([`Ev::SchedTick`]) every lane is flushed,
-//! optionally on `params.lanes` worker threads over disjoint RPN chunks,
-//! and the resulting completions are merged back **in fixed RPN order**
-//! and scheduled at their exact finish times. Because a lane's arithmetic
-//! depends only on its own RPN's state and the merge order is static,
-//! same-seed runs are byte-identical for every lane count — the
-//! determinism regression matrix pins `lanes = 1` against `lanes = 4`.
+//! Each RPN owns an *inbox* of newly arrived requests. At each
+//! scheduling-cycle barrier ([`Ev::SchedTick`]) every RPN's inbox is
+//! flushed in turn — each request is chained through the node's CPU, disk
+//! and NIC [`BusyLine`]s from its arrival instant and its finish times
+//! are recorded — and the resulting completions are merged back **in
+//! fixed RPN order** and scheduled at their exact finish times. A flush
+//! reads only its own RPN's state and chains each request from its
+//! arrival instant, so batching changes no request's service arithmetic;
+//! it saves the per-stage events (one completion event per request).
 //! Finish times earlier than the barrier clamp to the barrier instant
 //! (the engine never schedules into the past), so a sub-cycle response
 //! completes at the next tick — bounded by one 10 ms cycle, well inside
 //! every latency band the paper's tables quote.
 //!
-//! In [`GageMode::Bypass`] there is no scheduling tick, so lanes flush
-//! inline on arrival, which degenerates to the exact unbatched timing.
+//! In [`GageMode::Bypass`] there is no scheduling tick, so an RPN's inbox
+//! is flushed inline on arrival, which degenerates to the exact unbatched
+//! timing.
 //!
 //! # Failure and recovery
 //!
@@ -348,10 +347,9 @@ struct Rpn {
 /// finish times on the matching [`ActiveReq`], and queues a [`LaneDone`]
 /// per request for the barrier merge.
 ///
-/// Deliberately a free function over `(&mut Rpn, &ClusterParams)`: it
-/// touches no RDN, tracer, RNG or cross-node state, which is what makes
-/// flushing all lanes from worker threads sound (the `lane-shared-state`
-/// lint keeps interior mutability out of everything reachable from here).
+/// A free function over `(&mut Rpn, &ClusterParams)`: it touches no RDN,
+/// tracer, RNG or cross-node state, so an RPN's batch depends only on
+/// that RPN and the barrier merge order alone fixes the event order.
 fn flush_lane(rpn: &mut Rpn, params: &ClusterParams) {
     let speed = params.rpn_speed;
     let mut inbox = std::mem::take(&mut rpn.inbox);
@@ -676,7 +674,7 @@ impl World {
             ctx.cancel(entry.timeout);
             let latency = ctx.now().saturating_since(entry.first_issued);
             self.metrics[sub as usize].served.record(ctx.now(), 1.0);
-            self.metrics[sub as usize].latency.record(latency);
+            self.metrics[sub as usize].latency_total += latency;
             self.metrics[sub as usize]
                 .latency_ms
                 .observe(latency.as_secs_f64() * 1e3);
@@ -822,45 +820,6 @@ impl World {
         self.send_to_rpn(ctx, rpn.0, meta);
     }
 
-    /// Flushes every RPN lane (see [`flush_lane`]). With `params.lanes > 1`
-    /// the RPN array is split into contiguous chunks flushed by scoped
-    /// worker threads; each lane's arithmetic is confined to its own RPN,
-    /// so the result is independent of the thread count.
-    ///
-    /// Threads are only spawned when the barrier batch is large enough to
-    /// amortize the ~tens-of-µs spawn/join cost; below
-    /// [`LANE_PARALLEL_THRESHOLD`] jobs the flush runs inline. The
-    /// threshold is a pure function of deterministic state (inbox sizes),
-    /// and inline vs threaded flushing computes identical results, so the
-    /// cutover cannot perturb determinism.
-    fn flush_lanes(&mut self) {
-        /// Minimum jobs in a barrier batch before worker threads pay off.
-        const LANE_PARALLEL_THRESHOLD: usize = 1024;
-        let jobs: usize = self.rpns.iter().map(|r| r.inbox.len()).sum();
-        if jobs == 0 {
-            return;
-        }
-        let params = &self.params;
-        let rpns = &mut self.rpns;
-        let lanes = params.lanes.max(1).min(rpns.len());
-        if lanes <= 1 || jobs < LANE_PARALLEL_THRESHOLD {
-            for rpn in rpns.iter_mut() {
-                flush_lane(rpn, params);
-            }
-        } else {
-            let chunk = rpns.len().div_ceil(lanes);
-            std::thread::scope(|s| {
-                for slice in rpns.chunks_mut(chunk) {
-                    s.spawn(move || {
-                        for rpn in slice {
-                            flush_lane(rpn, params);
-                        }
-                    });
-                }
-            });
-        }
-    }
-
     /// Merges RPN `r`'s outbox into the event queue: every completion is
     /// scheduled at its exact finish time (clamped to now by the engine)
     /// and the collapsed per-stage events are credited as logical events.
@@ -885,9 +844,11 @@ impl World {
     }
 
     fn on_sched_tick(&mut self, ctx: &mut Context<'_, Ev>) {
-        // Barrier first: flush every lane (possibly in parallel), then
-        // merge completions back in fixed RPN order.
-        self.flush_lanes();
+        // Barrier first: flush every RPN's batch, then merge completions
+        // back in fixed RPN order.
+        for rpn in &mut self.rpns {
+            flush_lane(rpn, &self.params);
+        }
         for r in 0..self.rpns.len() {
             self.merge_outbox(ctx, r);
         }
@@ -2095,7 +2056,10 @@ impl ClusterSim {
                 served,
                 dropped: rate_in_window(&m.dropped, from, to),
                 failed: rate_in_window(&m.failed, from, to),
-                mean_latency_ms: m.latency.mean().as_secs_f64() * 1e3,
+                mean_latency_ms: match m.latency_ms.count() {
+                    0 => 0.0,
+                    n => (m.latency_total / n).as_secs_f64() * 1e3,
+                },
             });
         }
         let elapsed = to.saturating_since(from);
@@ -2130,70 +2094,6 @@ impl ClusterSim {
             conn_hit_rate: w.fronts[0].conn_table.hit_rate(),
             conn_evictions: w.fronts[0].conn_table.evictions(),
             window: (from, to),
-        }
-    }
-}
-
-#[cfg(test)]
-mod lane_tests {
-    use super::*;
-
-    fn sim_with_lanes(lanes: usize) -> ClusterSim {
-        let params = ClusterParams {
-            rpn_count: 8,
-            lanes,
-            ..Default::default()
-        };
-        ClusterSim::new(params, Vec::new(), 7)
-    }
-
-    fn stuff_inboxes(world: &mut World, per_rpn: usize) {
-        for (r, rpn) in world.rpns.iter_mut().enumerate() {
-            for j in 0..per_rpn {
-                let i = (r * per_rpn + j) as u32;
-                let conn = FourTuple::new(
-                    Endpoint::new(
-                        Ipv4Addr::new(10, 1, (i >> 8) as u8, i as u8),
-                        Port::new(2_000),
-                    ),
-                    Endpoint::new(Ipv4Addr::new(10, 0, 1, 1), Port::HTTP),
-                );
-                rpn.inbox.push(LaneJob {
-                    conn,
-                    ready: SimTime::from_nanos(u64::from(i) * 1_000),
-                    path: format!("/f{}.html", i % 37),
-                    size: 1_000 + u64::from(i % 5_000),
-                    cpu_mult: 1.0,
-                    overhead_us: 75.0,
-                });
-            }
-        }
-    }
-
-    /// The scoped-thread flush path (reached only above the parallel
-    /// threshold, which no small workload crosses) must compute exactly
-    /// what the inline path computes.
-    #[test]
-    fn threaded_flush_matches_inline_flush() {
-        let mut inline = sim_with_lanes(1);
-        let mut threaded = sim_with_lanes(4);
-        // 8 RPNs x 200 jobs = 1600, comfortably above the 1024-job
-        // threshold, so lanes=4 genuinely takes std::thread::scope.
-        stuff_inboxes(inline.sim.model_mut(), 200);
-        stuff_inboxes(threaded.sim.model_mut(), 200);
-        inline.sim.model_mut().flush_lanes();
-        threaded.sim.model_mut().flush_lanes();
-        for (a, b) in inline.world().rpns.iter().zip(threaded.world().rpns.iter()) {
-            assert!(a.inbox.is_empty() && b.inbox.is_empty());
-            assert_eq!(a.outbox.len(), 200);
-            for (x, y) in a.outbox.iter().zip(b.outbox.iter()) {
-                assert_eq!(x.conn, y.conn);
-                assert_eq!(x.fin, y.fin);
-                assert_eq!(x.has_disk, y.has_disk);
-            }
-            assert_eq!(a.cpu.busy_until(), b.cpu.busy_until());
-            assert_eq!(a.disk.busy_until(), b.disk.busy_until());
-            assert_eq!(a.nic.busy_until(), b.nic.busy_until());
         }
     }
 }

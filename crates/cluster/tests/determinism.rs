@@ -48,27 +48,21 @@ fn sites(horizon: f64, seed: u64) -> Vec<SiteSpec> {
     .collect()
 }
 
-/// Runs the cluster for `horizon` seconds and digests every metric stream
-/// to exact bits: served/dropped/offered/usage bins per subscriber, the
-/// deviation series, and the rendered report table.
-fn run_digest(seed: u64, horizon: u64) -> String {
-    run_digest_lanes(seed, horizon, 1, false)
-}
-
-/// Like [`run_digest`] but with an explicit lane count and optional fault
-/// plan — the lane-parallelism axis of the determinism matrix.
-fn run_digest_lanes(seed: u64, horizon: u64, lanes: usize, faults: bool) -> String {
+/// Runs the cluster for `horizon` seconds, optionally under a fault plan,
+/// and digests every metric stream to exact bits: served/dropped/offered/
+/// usage bins per subscriber, the deviation series, and the rendered report
+/// table.
+fn run_digest(seed: u64, horizon: u64, faults: bool) -> String {
     let params = ClusterParams {
         rpn_count: 4,
-        lanes,
         service: ServiceCostModel::generic_requests(),
         ..Default::default()
     };
     let mut sim = ClusterSim::new(params, sites(horizon as f64, seed), seed);
     if faults {
-        // Mid-run crash + recovery and a lossy report window: the digest
-        // must stay lane-invariant through requeues, epoch bumps and
-        // watchdog write-offs, not just on the happy path.
+        // Mid-run crash + recovery and a lossy report window: replay must
+        // stay byte-identical through requeues, epoch bumps and watchdog
+        // write-offs, not just on the happy path.
         let mut plan = FaultPlan::new(seed);
         plan.crash_for(SimTime::from_secs(4), 1, SimDuration::from_secs(3));
         plan.report_loss(SimTime::from_secs(2), SimTime::from_secs(8), 0.5);
@@ -118,8 +112,8 @@ fn run_digest_lanes(seed: u64, horizon: u64, lanes: usize, faults: bool) -> Stri
 
 #[test]
 fn same_seed_runs_are_byte_identical() {
-    let first = run_digest(42, 12);
-    let second = run_digest(42, 12);
+    let first = run_digest(42, 12, false);
+    let second = run_digest(42, 12, false);
     assert!(first.len() > 1_000, "digest covers real data: {first}");
     assert!(
         first == second,
@@ -128,33 +122,15 @@ fn same_seed_runs_are_byte_identical() {
 }
 
 #[test]
-fn lane_counts_are_byte_identical() {
-    // The per-RPN lanes only parallelize service-time computation between
-    // scheduling-cycle barriers; merging back in fixed RPN order makes the
-    // simulation bit-equal for every lane count.
-    let lanes1 = run_digest_lanes(42, 12, 1, false);
-    for lanes in [2usize, 4] {
-        let lanesn = run_digest_lanes(42, 12, lanes, false);
-        assert!(
-            lanes1 == lanesn,
-            "lanes=1 and lanes={lanes} diverged; lane merge is nondeterministic"
-        );
-    }
-}
-
-#[test]
-fn lane_counts_are_byte_identical_under_faults() {
-    let lanes1 = run_digest_lanes(42, 12, 1, true);
-    let lanes4 = run_digest_lanes(42, 12, 4, true);
-    assert!(lanes1.len() > 1_000, "faulted digest covers real data");
-    assert!(
-        lanes1 == lanes4,
-        "lanes=1 and lanes=4 diverged under a fault plan"
-    );
+fn same_seed_runs_are_byte_identical_under_faults() {
+    let first = run_digest(42, 12, true);
+    let second = run_digest(42, 12, true);
+    assert!(first.len() > 1_000, "faulted digest covers real data");
+    assert!(first == second, "two faulted runs with seed 42 diverged");
     // The fault plan must actually perturb the run, or the assertion above
     // is vacuous.
     assert!(
-        lanes1 != run_digest_lanes(42, 12, 1, false),
+        first != run_digest(42, 12, false),
         "fault plan had no observable effect"
     );
 }
@@ -163,7 +139,7 @@ fn lane_counts_are_byte_identical_under_faults() {
 fn different_seeds_actually_diverge() {
     // Guards the digest itself: if it ever stops covering the streams the
     // byte-identical assertion above would pass vacuously.
-    let a = run_digest(42, 12);
-    let b = run_digest(43, 12);
+    let a = run_digest(42, 12, false);
+    let b = run_digest(43, 12, false);
     assert!(a != b, "seeds 42 and 43 produced identical digests");
 }

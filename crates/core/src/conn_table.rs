@@ -89,9 +89,8 @@ impl ConnTable {
     }
 
     /// Looks up the route for an incoming packet's four-tuple. Takes
-    /// `&mut self` for the hit/miss counters — plain fields, so the table
-    /// stays free of interior mutability and safe to hand to an event lane
-    /// (the `lane-shared-state` lint checks exactly that).
+    /// `&mut self` for the hit/miss counters, which are plain fields rather
+    /// than `Cell`s.
     pub fn lookup(&mut self, tuple: FourTuple) -> Option<Route> {
         self.lookups += 1;
         let r = self.map.get(&tuple).copied();

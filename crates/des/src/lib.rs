@@ -1,7 +1,7 @@
 //! Deterministic discrete-event simulation kernel.
 //!
-//! `gage-des` is the substrate on which the packet-accurate Gage cluster
-//! simulation (`gage-cluster`) runs. It provides:
+//! `gage-des` is the substrate on which the Gage cluster simulation
+//! (`gage-cluster`) runs. It provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time
 //!   newtypes with saturating arithmetic,
@@ -11,8 +11,8 @@
 //!   until the event queue drains,
 //! * [`SimRng`] — seeded, splittable random streams so that independent
 //!   components draw from independent deterministic sequences,
-//! * [`stats`] — counters, rate meters, time-weighted gauges, windowed series
-//!   and log-bucket histograms used by the evaluation harnesses.
+//! * [`stats`] — binned time series, running moments, busy-time tracking
+//!   and deviation-from-target used by the evaluation harnesses.
 //!
 //! # Example
 //!

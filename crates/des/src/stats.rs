@@ -1,9 +1,9 @@
-//! Measurement utilities: binned time series, histograms, running moments
-//! and busy-time tracking.
+//! Measurement utilities: binned time series, running moments and
+//! busy-time tracking.
 //!
 //! These are the instruments the evaluation harnesses use to turn raw
 //! simulation events into the paper's tables and figures (served/dropped
-//! rates, deviation-from-reservation, CPU utilization, latency quantiles).
+//! rates, deviation-from-reservation, CPU utilization).
 
 use crate::time::{SimDuration, SimTime};
 
@@ -152,87 +152,6 @@ impl MeanVar {
     }
 }
 
-/// Histogram of durations with logarithmic buckets (powers of two in
-/// nanoseconds), supporting approximate quantiles.
-#[derive(Debug, Clone)]
-pub struct DurationHistogram {
-    // bucket i counts durations with floor(log2(ns)) == i (ns==0 -> bucket 0)
-    buckets: [u64; 64],
-    count: u64,
-    sum: SimDuration,
-    max: SimDuration,
-}
-
-impl Default for DurationHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DurationHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        DurationHistogram {
-            buckets: [0; 64],
-            count: 0,
-            sum: SimDuration::ZERO,
-            max: SimDuration::ZERO,
-        }
-    }
-
-    /// Records one duration.
-    pub fn record(&mut self, d: SimDuration) {
-        let ns = d.as_nanos();
-        let idx = if ns == 0 {
-            0
-        } else {
-            63 - ns.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += d;
-        self.max = self.max.max(d);
-    }
-
-    /// Number of recorded durations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean duration (zero if empty).
-    pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            self.sum / self.count
-        }
-    }
-
-    /// Largest recorded duration.
-    pub fn max(&self) -> SimDuration {
-        self.max
-    }
-
-    /// Approximate quantile (bucket upper bound containing the q-quantile).
-    /// `q` is clamped to `[0, 1]`. Returns zero if empty.
-    pub fn quantile(&self, q: f64) -> SimDuration {
-        if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let upper = if i >= 63 { u64::MAX } else { (2u64 << i) - 1 };
-                return SimDuration::from_nanos(upper);
-            }
-        }
-        self.max
-    }
-}
-
 /// Accumulates busy time for a serially-used resource (e.g. the RDN CPU) so
 /// utilization can be reported over arbitrary spans, and per-bin so a
 /// utilization-vs-time curve can be extracted.
@@ -328,31 +247,6 @@ mod tests {
         assert!((mv.mean() - 5.0).abs() < 1e-12);
         assert!((mv.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(mv.count(), 8);
-    }
-
-    #[test]
-    fn histogram_quantiles_bracket_values() {
-        let mut h = DurationHistogram::new();
-        for us in 1..=1000u64 {
-            h.record(SimDuration::from_micros(us));
-        }
-        assert_eq!(h.count(), 1000);
-        let p50 = h.quantile(0.5);
-        // Median is 500us; bucket upper bound must be >= that and within 2x.
-        assert!(p50 >= SimDuration::from_micros(500));
-        assert!(p50 <= SimDuration::from_micros(1024));
-        assert_eq!(h.max(), SimDuration::from_micros(1000));
-        assert!(h.mean() > SimDuration::from_micros(400));
-        assert!(h.mean() < SimDuration::from_micros(600));
-    }
-
-    #[test]
-    fn histogram_empty_and_zero() {
-        let mut h = DurationHistogram::new();
-        assert_eq!(h.quantile(0.9), SimDuration::ZERO);
-        h.record(SimDuration::ZERO);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.mean(), SimDuration::ZERO);
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //! * [`splice`] — the per-connection splice map performing the paper's
 //!   sequence-number/address remapping (Section 3.2),
 //! * [`endpoint`] — a userspace TCP endpoint state machine (handshake, data
-//!   transfer, retransmission, teardown) used by the simulated clients and
-//!   servers,
-//! * [`switch`] — an L2 learning switch model.
+//!   transfer, retransmission, teardown).
+//!
+//! The simulator (`gage-cluster`) uses the address types and builds a real
+//! [`SpliceMap`] per request; it charges the per-packet costs in aggregate
+//! rather than moving individual packets through the rest of this crate.
 //!
 //! # Example: splicing two connections
 //!
@@ -48,7 +50,6 @@ pub mod ipv4;
 pub mod packet;
 pub mod seq;
 pub mod splice;
-pub mod switch;
 pub mod tcp;
 
 pub use addr::{Endpoint, FourTuple, MacAddr, Port};

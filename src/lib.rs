@@ -8,7 +8,8 @@
 //! * [`core`] — Gage's QoS core: classification, WRR credit scheduling,
 //!   node selection and resource accounting,
 //! * [`workload`] — synthetic and SPECWeb99-shaped workload generators,
-//! * [`cluster`] — the packet-accurate simulated Gage cluster,
+//! * [`cluster`] — the simulated Gage cluster, charging the paper's
+//!   per-packet costs (Table 3) in aggregate per request,
 //! * [`rt`] — the real-network (threaded TCP) variant with multi-process
 //!   binaries,
 //! * [`obs`] — deterministic structured tracing + live metrics registry

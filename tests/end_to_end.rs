@@ -88,7 +88,7 @@ fn specweb_trace_round_trips_through_the_cluster() {
     let served = w.metrics[0].served.total() as u64;
     assert_eq!(served, offered, "lightly-loaded cluster serves everything");
     // Heavy-tailed sizes actually exercised the disk (cache misses).
-    assert!(w.metrics[0].latency.max() > SimDuration::from_millis(5));
+    assert!(w.metrics[0].latency_ms.max() > 5.0);
 }
 
 #[test]
