@@ -460,7 +460,11 @@ struct RdnFront {
 pub struct World {
     params: ClusterParams,
     registry: SubscriberRegistry,
+    /// Each site's trace, sorted by `at_us`.
     traces: Vec<Trace>,
+    /// First tie-break rank reserved for each site's trace: entry `i` of
+    /// site `s` is scheduled with rank `issue_rank[s] + i`.
+    issue_rank: Vec<u64>,
     cluster_ep: Endpoint,
     /// The front-end RDNs, `params.rdn_count` of them.
     fronts: Vec<RdnFront>,
@@ -580,6 +584,17 @@ impl World {
         self.tracer.emit(TraceEvent::ReqArrival { sub, req });
         let first_issued = ctx.now();
         self.issue_request(ctx, sub, UrlInfo { idx, req }, first_issued, 0);
+        // Open loop: the client's next request is due at its trace time
+        // whatever happened to this one. Only it is queued, under the rank
+        // reserved for it at construction.
+        let next = idx + 1;
+        if let Some(e) = self.traces[sub as usize].entries.get(next as usize) {
+            ctx.schedule_ranked(
+                SimTime::from_nanos(e.at_us * 1_000),
+                self.issue_rank[sub as usize] + u64::from(next),
+                Ev::Issue { sub, idx: next },
+            );
+        }
     }
 
     /// Sends attempt `attempt` of a request: opens a fresh connection, arms
@@ -1308,21 +1323,24 @@ impl World {
         // subscribers that front currently owns plus the backlog it
         // booked itself. A front with no owned activity still gets an
         // empty report — the heartbeat its watchdog runs on.
-        let n_rdn = self.fronts.len();
-        let owner_of: Vec<usize> = (0..self.metrics.len())
-            .map(|i| self.owner_rdn(i as u32) as usize)
-            .collect();
-        let reports = {
-            let rpn = &mut self.rpns[rpn_idx as usize];
-            let rollup = rpn.processes.rollup();
-            let mut lines: Vec<Vec<SubscriberUsage>> = (0..n_rdn).map(|_| Vec::new()).collect();
+        let hop = self.hop();
+        let idx = rpn_idx as usize;
+        let rollup = self.rpns[idx].processes.rollup();
+        let total = std::mem::replace(&mut self.rpns[idx].total_cycle_usage, ResourceVector::ZERO);
+        for dest in 0..self.fronts.len() {
+            let rpn = &mut self.rpns[idx];
+            let mut per_subscriber = Vec::new();
             for (i, acc) in rpn.cycle.iter_mut().enumerate() {
+                // `owner_rdn`, inlined: `rpn` holds `self` mutably.
+                if self.shard_owner[self.sub_shard[i] as usize] as usize != dest {
+                    continue;
+                }
                 let sub = SubscriberId(i as u32);
                 let actual = rollup.get(&sub).copied().unwrap_or(ResourceVector::ZERO);
                 if acc.completed == 0 && actual == ResourceVector::ZERO {
                     continue;
                 }
-                lines[owner_of[i]].push(SubscriberUsage {
+                per_subscriber.push(SubscriberUsage {
                     subscriber: sub,
                     actual,
                     settled_predicted: acc.settled_predicted,
@@ -1330,26 +1348,17 @@ impl World {
                 });
                 *acc = CycleAccum::default();
             }
-            let total = rpn.total_cycle_usage;
-            rpn.total_cycle_usage = ResourceVector::ZERO;
             // Each node reports its remaining predicted backlog so every
             // front's outstanding estimate re-anchors to ground truth —
             // sliced per front, since each front booked only its own
             // dispatches. The whole-node `total` goes to every front (it
             // is observational, not a booking).
-            lines
-                .into_iter()
-                .enumerate()
-                .map(|(dest, per_subscriber)| UsageReport {
-                    rpn: RpnId(rpn_idx),
-                    total,
-                    outstanding_predicted: rpn.outstanding_by_rdn[dest],
-                    per_subscriber,
-                })
-                .collect::<Vec<_>>()
-        };
-        let hop = self.hop();
-        for (dest, report) in reports.into_iter().enumerate() {
+            let report = UsageReport {
+                rpn: RpnId(rpn_idx),
+                total,
+                outstanding_predicted: rpn.outstanding_by_rdn[dest],
+                per_subscriber,
+            };
             // A fault-plan loss window overrides the whole-run knob, and
             // draws from the plan's own RNG stream so the traffic stream
             // is untouched. One draw per destination, in fixed order.
@@ -1634,8 +1643,9 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
-    /// Builds a cluster hosting `sites` under `params`, with all client
-    /// traffic pre-scheduled from the site traces.
+    /// Builds a cluster hosting `sites` under `params`. Each site's trace
+    /// is sorted by issue time and replayed open-loop: only its first
+    /// entry is queued here, and each issue queues the next one.
     ///
     /// # Panics
     ///
@@ -1652,11 +1662,21 @@ impl ClusterSim {
         if params.scheduler.node_lookahead_secs < min_lookahead {
             params.scheduler.node_lookahead_secs = min_lookahead;
         }
+        let n_sites = sites.len();
         let mut registry = SubscriberRegistry::new();
-        for s in &sites {
+        let mut traces = Vec::with_capacity(n_sites);
+        for s in sites {
             registry
-                .register(s.host.clone(), s.reservation)
+                .register(s.host, s.reservation)
                 .expect("duplicate site host");
+            let mut trace = s.trace;
+            // `entries` is public and `Trace::load_json` keeps file order;
+            // replay needs time order. The sort is stable, so entries at
+            // the same instant keep their relative order.
+            if !trace.entries.is_sorted_by_key(|e| e.at_us) {
+                trace.entries.sort_by_key(|e| e.at_us);
+            }
+            traces.push(trace);
         }
         // Each front end schedules against its 1/rdn_count share of every
         // node, so the peer set as a whole never oversubscribes an RPN.
@@ -1667,9 +1687,7 @@ impl ClusterSim {
             1e6 * share,
             params.network.rpn_egress_bytes_per_sec * share,
         );
-        let sub_shard: Vec<u16> = (0..sites.len())
-            .map(|i| params.shard_of(i as u32))
-            .collect();
+        let sub_shard: Vec<u16> = (0..n_sites).map(|i| params.shard_of(i as u32)).collect();
         let shard_owner: Vec<u16> = (0..params.rdn_count as u16).collect();
         let mut fronts = Vec::new();
         for f in 0..params.rdn_count {
@@ -1695,7 +1713,7 @@ impl ClusterSim {
         let mut rpns = Vec::new();
         for i in 0..params.rpn_count {
             let mut processes = ProcessTable::new();
-            let workers = (0..sites.len())
+            let workers = (0..n_sites)
                 .map(|s| processes.launch_entity_root(SubscriberId(s as u32)))
                 .collect();
             let cache = match params.service.disk {
@@ -1716,7 +1734,7 @@ impl ClusterSim {
                 outbox: Vec::new(),
                 outstanding_by_rdn: vec![ResourceVector::ZERO; params.rdn_count],
                 isn_counter: 7,
-                cycle: vec![CycleAccum::default(); sites.len()],
+                cycle: vec![CycleAccum::default(); n_sites],
                 total_cycle_usage: ResourceVector::ZERO,
                 completed_requests: 0,
                 epoch: 0,
@@ -1730,7 +1748,6 @@ impl ClusterSim {
                 },
             });
         }
-        let n_sites = sites.len();
         let world = World {
             cluster_ep: Endpoint::new(Ipv4Addr::new(10, 0, 1, 1), Port::HTTP),
             fronts,
@@ -1765,21 +1782,23 @@ impl ClusterSim {
             last_event_at: SimTime::ZERO,
             tracer: Tracer::disabled(),
             client_url: DetMap::new(),
-            traces: sites.iter().map(|s| s.trace.clone()).collect(),
+            traces,
+            issue_rank: Vec::with_capacity(n_sites),
             registry,
             params,
         };
         let mut sim = Simulation::new(world, seed);
-        // Pre-schedule all trace issues and the periodic ticks.
-        for (s, site) in sites.iter().enumerate() {
-            for (i, e) in site.trace.entries.iter().enumerate() {
-                sim.schedule_at(
-                    SimTime::from_nanos(e.at_us * 1_000),
-                    Ev::Issue {
-                        sub: s as u32,
-                        idx: i as u32,
-                    },
-                );
+        // One tie-break rank per trace entry, reserved before the periodic
+        // ticks: an arrival at the same instant as a tick is issued first,
+        // sites in index order. Only each site's first entry is queued.
+        for s in 0..n_sites {
+            let len = sim.model().traces[s].entries.len() as u64;
+            let rank = sim.reserve_ranks(len);
+            sim.model_mut().issue_rank.push(rank);
+            if let Some(e) = sim.model().traces[s].entries.first() {
+                let at = SimTime::from_nanos(e.at_us * 1_000);
+                let sub = s as u32;
+                sim.schedule_ranked(at, rank, Ev::Issue { sub, idx: 0 });
             }
         }
         if sim.model().params.mode == GageMode::Enabled {

@@ -46,6 +46,18 @@ impl<'a, E> Context<'a, E> {
         self.queue.schedule(at.max(self.now), event)
     }
 
+    /// Reserves `n` tie-break ranks; see [`EventQueue::reserve_ranks`].
+    pub fn reserve_ranks(&mut self, n: u64) -> u64 {
+        self.queue.reserve_ranks(n)
+    }
+
+    /// Schedules `event` at `at` with a reserved `rank`; see
+    /// [`EventQueue::schedule_ranked`]. An instant in the past is clamped
+    /// to *now*.
+    pub fn schedule_ranked(&mut self, at: SimTime, rank: u64, event: E) -> EventId {
+        self.queue.schedule_ranked(at.max(self.now), rank, event)
+    }
+
     /// Cancels a pending event; `true` if it had not yet fired.
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
@@ -157,6 +169,17 @@ impl<M: Model> Simulation<M> {
     /// Schedules an event `delay` after the current instant.
     pub fn schedule_in(&mut self, delay: SimDuration, event: M::Event) -> EventId {
         self.queue.schedule(self.now + delay, event)
+    }
+
+    /// Reserves `n` tie-break ranks; see [`EventQueue::reserve_ranks`].
+    pub fn reserve_ranks(&mut self, n: u64) -> u64 {
+        self.queue.reserve_ranks(n)
+    }
+
+    /// Schedules an event with a reserved `rank` (setup code); see
+    /// [`EventQueue::schedule_ranked`].
+    pub fn schedule_ranked(&mut self, at: SimTime, rank: u64, event: M::Event) -> EventId {
+        self.queue.schedule_ranked(at.max(self.now), rank, event)
     }
 
     /// Processes the single earliest event, if any. Returns `false` when the
@@ -294,6 +317,44 @@ mod tests {
             sim.model().acc
         }
         assert_eq!(run_once(), run_once());
+    }
+
+    #[test]
+    fn ranked_schedule_from_a_handler_keeps_its_reserved_place() {
+        struct R {
+            rank: Option<u64>,
+            seen: Vec<&'static str>,
+        }
+        impl Model for R {
+            type Event = &'static str;
+            fn handle(&mut self, ctx: &mut Context<'_, &'static str>, e: &'static str) {
+                self.seen.push(e);
+                let t = SimTime::from_millis(3);
+                match e {
+                    "start" => {
+                        self.rank = Some(ctx.reserve_ranks(1));
+                        ctx.schedule_at(t, "plain");
+                        ctx.schedule_at(SimTime::from_millis(1), "trigger");
+                    }
+                    "trigger" => {
+                        let rank = self.rank.expect("reserved at start");
+                        ctx.schedule_ranked(t, rank, "ranked");
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut sim = Simulation::new(
+            R {
+                rank: None,
+                seen: vec![],
+            },
+            0,
+        );
+        sim.schedule_at(SimTime::ZERO, "start");
+        sim.run();
+        // Scheduled after "plain", but under a rank reserved before it.
+        assert_eq!(sim.model().seen, ["start", "trigger", "ranked", "plain"]);
     }
 
     #[test]

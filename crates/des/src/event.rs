@@ -71,6 +71,45 @@ impl<E> EventQueue<E> {
         EventId(self.wheel.schedule(at.as_nanos(), event).to_raw())
     }
 
+    /// Reserves `n` consecutive tie-break ranks and returns the first.
+    ///
+    /// Equal-time events pop in schedule order; a reserved rank keeps the
+    /// place in that order that a [`schedule`](Self::schedule) made now
+    /// would take, but the event itself can be scheduled later with
+    /// [`schedule_ranked`](Self::schedule_ranked). A producer with a long
+    /// sorted series of future events (a client trace) reserves one rank
+    /// per event up front and schedules each one only when its
+    /// predecessor fires: the queue then holds one pending event per
+    /// series, and pops in the same order as if all had been scheduled at
+    /// reservation time.
+    ///
+    /// ```rust
+    /// use gage_des::{EventQueue, SimTime};
+    /// let mut q = EventQueue::new();
+    /// let first = q.reserve_ranks(1);
+    /// q.schedule(SimTime::from_millis(1), "scheduled first");
+    /// q.schedule_ranked(SimTime::from_millis(1), first, "reserved first");
+    /// assert_eq!(q.pop().unwrap().event, "reserved first");
+    /// assert_eq!(q.pop().unwrap().event, "scheduled first");
+    /// ```
+    pub fn reserve_ranks(&mut self, n: u64) -> u64 {
+        self.wheel.reserve(n)
+    }
+
+    /// Schedules `event` at `at` with a `rank` from
+    /// [`reserve_ranks`](Self::reserve_ranks): among events at the same
+    /// instant it pops where that rank falls in schedule order.
+    ///
+    /// Schedule each reserved rank at most once, and never behind an
+    /// already popped event: `(at, rank)` must not precede the last pop.
+    pub fn schedule_ranked(&mut self, at: SimTime, rank: u64, event: E) -> EventId {
+        EventId(
+            self.wheel
+                .schedule_ranked(at.as_nanos(), rank, event)
+                .to_raw(),
+        )
+    }
+
     /// Cancels a previously scheduled event. Returns `true` if the event was
     /// still pending, `false` if it had already fired or been cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {

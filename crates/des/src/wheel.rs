@@ -16,6 +16,9 @@
 //!   anything pops. Slot starts at every level are multiples of the fine
 //!   granularity, so no coarser slot can start strictly inside the fine
 //!   slot being drained — the minimum-start scan never skips an event.
+//!   `seq` is normally the schedule order, or a rank reserved earlier
+//!   (see [`EventQueue::reserve_ranks`](crate::EventQueue::reserve_ranks));
+//!   a late insert into the drained window is placed by `(at, seq)` too.
 //! * **Cascades terminate**: when a coarse slot (level *l* > 0) wins the
 //!   scan, the cursor first advances to that slot's start; adjacent levels
 //!   differ by 6 bits of shift, so every event in the slot then lands at
@@ -175,8 +178,23 @@ impl<E> TimingWheel<E> {
     }
 
     pub(crate) fn schedule(&mut self, at: u64, event: E) -> SlabKey {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve(1);
+        self.schedule_ranked(at, seq, event)
+    }
+
+    /// Reserves `n` consecutive tie-break ranks and returns the first. A
+    /// rank handed out here orders exactly like the `seq` a plain
+    /// [`schedule`](Self::schedule) at this point would have taken.
+    pub(crate) fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Schedules with a rank from [`reserve`](Self::reserve) instead of the
+    /// next sequence number.
+    pub(crate) fn schedule_ranked(&mut self, at: u64, seq: u64, event: E) -> SlabKey {
+        debug_assert!(seq < self.next_seq, "rank {seq} was never reserved");
         self.scheduled_total += 1;
         let key = self.live.insert(());
         self.place(Entry {
@@ -236,10 +254,13 @@ impl<E> TimingWheel<E> {
         self.stored += 1;
         if e.at < self.cursor {
             // Late insert (schedule into the already-drained window, e.g.
-            // after `peek` advanced the cursor): keep the front run sorted.
-            // The new entry carries the largest seq, so partitioning on
-            // `at` alone lands it after every equal-time sibling.
-            let pos = self.front.partition_point(|f| f.at <= e.at);
+            // at the current instant after its slot was drained): keep the
+            // front run sorted by `(at, seq)`. A reserved rank can be older
+            // than equal-time siblings already in the run, so `at` alone
+            // is not enough to place it.
+            let pos = self
+                .front
+                .partition_point(|f| (f.at, f.seq) < (e.at, e.seq));
             self.front.insert(pos, e);
             return;
         }
@@ -262,7 +283,9 @@ impl<E> TimingWheel<E> {
         // Find the minimum slot start across all levels. On a tie, the
         // COARSER level must go first: its slot spans the finer one, so
         // its events may fire inside the finer slot's window and have to
-        // redistribute before that window is drained and sealed.
+        // redistribute before that window is drained and sealed. Levels
+        // are scanned fine to coarse, so a later equal start replaces the
+        // earlier one (`<`, not `<=`); overflow is coarsest of all.
         let mut best: Option<(u64, usize)> = None;
         for (l, level) in self.levels.iter().enumerate() {
             if level.occ == 0 {
@@ -273,14 +296,14 @@ impl<E> TimingWheel<E> {
             let dist = level.occ.rotate_right(base as u32).trailing_zeros() as u64;
             let start = ((self.cursor >> shift) + dist) << shift;
             match best {
-                Some((bs, _)) if bs <= start => {}
+                Some((bs, _)) if bs < start => {}
                 _ => best = Some((start, l)),
             }
         }
         if !self.overflow.is_empty() {
             let start = self.overflow_min & !(GRANULARITY - 1);
             match best {
-                Some((bs, _)) if bs <= start => {}
+                Some((bs, _)) if bs < start => {}
                 _ => best = Some((start, LEVELS)),
             }
         }
@@ -442,6 +465,35 @@ mod tests {
         w.schedule(10, 1);
         let popped: Vec<u64> = drain(&mut w).into_iter().map(|(_, e)| e).collect();
         assert_eq!(popped, vec![100, 0, 1, 9]);
+    }
+
+    #[test]
+    fn late_ranked_insert_sorts_by_time_then_seq() {
+        let mut w = TimingWheel::new();
+        let rank = w.reserve(1);
+        w.schedule(10, 1);
+        w.schedule(10, 2);
+        // Drains slot 0 into the front: the cursor is past instant 10.
+        assert_eq!(w.peek(), Some(10));
+        // The reserved rank predates both siblings at the same instant, so
+        // it must pop before them, not after.
+        w.schedule_ranked(10, rank, 0);
+        let popped: Vec<u64> = drain(&mut w).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(popped, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn coarse_slot_cascades_before_a_fine_slot_with_the_same_start() {
+        let mut w = TimingWheel::new();
+        // 64 fine slots ahead of the cursor: parked at level 1, in the
+        // first fine window [65_536, 66_560) of level-1 slot 1.
+        w.schedule(65_550, 1);
+        w.schedule(40_000, 0);
+        assert_eq!(w.pop().map(|(at, _, e)| (at, e)), Some((40_000, 0)));
+        // The cursor moved on, so the same window now fits level 0: both
+        // levels hold a slot starting at 65_536.
+        w.schedule(65_600, 2);
+        assert_eq!(drain(&mut w), vec![(65_550, 1), (65_600, 2)]);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! implementation verbatim: the wheel must produce the **same pop
 //! sequence and the same `EventId`s** under arbitrary interleavings of
 //! schedule/cancel/pop/peek, including far-future events that cascade
-//! through multiple wheel levels and 10k-cancel churn.
+//! through multiple wheel levels and 10k-cancel churn — and, with ranks
+//! reserved up front, under lazily chained schedules.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -134,6 +135,25 @@ impl HeapModel {
         slot.to_raw()
     }
 
+    /// Mirrors `EventQueue::reserve_ranks`: the ranks are the next `n`
+    /// sequence numbers.
+    fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    fn schedule_ranked(&mut self, at: u64, rank: u64, payload: u64) -> u64 {
+        let slot = self.live.insert(());
+        self.heap.push(ModelEntry {
+            at,
+            seq: rank,
+            slot,
+            payload,
+        });
+        slot.to_raw()
+    }
+
     fn cancel(&mut self, raw: u64) -> bool {
         self.live.remove(SlabKey::from_raw(raw)).is_some()
     }
@@ -253,6 +273,170 @@ fn wheel_matches_heap_model_across_level_cascades() {
 #[test]
 fn wheel_matches_heap_model_under_cancel_churn() {
     cross_check(0x81, 12_000, 10_000_000_000, 60, 10);
+}
+
+/// Marks a chain payload: `CHAIN | chain << 32 | index`.
+const CHAIN: u64 = 1 << 63;
+
+/// A sorted series of future events with one rank reserved per element,
+/// scheduled one at a time: each element is queued when its predecessor
+/// pops (open-loop trace replay).
+struct Chain {
+    times: Vec<u64>,
+    rank: u64,
+}
+
+/// A time inside the first fine (1,024 ns) window of one of the next two
+/// level-1 (65,536 ns) wheel slots after `t`. Such a window can be held by
+/// a level-1 slot and a level-0 slot at once — events scheduled while the
+/// cursor was further away park at level 1, later ones at level 0 — and
+/// both slots then start at the same instant.
+fn level_edge(rng: &mut StdRng, t: u64) -> u64 {
+    ((t >> 16) + rng.gen_range(1..3u64)) << 16 | rng.gen_range(0..1_024u64)
+}
+
+/// After `popped` fires, queues its chain's next element (if any) under
+/// that element's reserved rank, on the wheel and the replaying model.
+fn queue_next(chains: &[Chain], popped: u64, lazy: &mut HeapModel, wheel: &mut EventQueue<u64>) {
+    if popped & CHAIN == 0 {
+        return;
+    }
+    let c = (popped & !CHAIN) >> 32;
+    let next = (popped & 0xffff_ffff) + 1;
+    let chain = &chains[c as usize];
+    if let Some(&t) = chain.times.get(next as usize) {
+        let (rank, p) = (chain.rank + next, CHAIN | c << 32 | next);
+        let raw = lazy.schedule_ranked(t, rank, p);
+        let id = wheel.schedule_ranked(SimTime::from_nanos(t), rank, p);
+        assert_eq!(format!("{id:?}"), id_debug(raw), "ranked id diverged");
+    }
+}
+
+/// Drives the wheel through lazily chained ranked schedules mixed with
+/// plain schedules, cancels, pops and peeks, against two heap models: one
+/// replaying the wheel's operations exactly (same pops, same ids) and one
+/// that schedules every chain element up front at reservation time. Their
+/// pop sequences must agree: queuing a chain lazily under reserved ranks
+/// pops in the same `(at, rank)` order as queuing it all at once.
+///
+/// Times sit on a 1 ms grid and chain steps are often zero, so a chain's
+/// next element regularly lands at the instant just popped — behind the
+/// wheel cursor, next to higher-seq siblings already in the sorted run.
+fn cross_check_chains(seed: u64, iters: usize, far_ns: u64) {
+    const GRID: u64 = 1_000_000;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut wheel: EventQueue<u64> = EventQueue::new();
+    let mut lazy = HeapModel::new();
+    let mut eager = HeapModel::new();
+    let mut chains: Vec<Chain> = Vec::new();
+    // Plain events only: chains are never cancelled.
+    let mut ids: Vec<(gage_des::EventId, u64, u64)> = Vec::new();
+    let mut payload = 0u64;
+    let mut now = 0u64;
+    let mut pops = 0usize;
+    for _ in 0..iters {
+        let roll = rng.gen_range(0..100u32);
+        if roll < 4 {
+            // A new chain, starting at or after now.
+            let len = rng.gen_range(1..40u64);
+            let mut at = now + GRID * rng.gen_range(0..3u64);
+            let times: Vec<u64> = (0..len)
+                .map(|_| {
+                    at += match rng.gen_range(0..7u32) {
+                        0 | 1 => 0,
+                        2 => rng.gen_range(0..GRID),
+                        5 => rng.gen_range(0..far_ns),
+                        6 => level_edge(&mut rng, at) - at,
+                        _ => GRID * rng.gen_range(1..4u64),
+                    };
+                    at
+                })
+                .collect();
+            let rank = wheel.reserve_ranks(len);
+            assert_eq!(lazy.reserve(len), rank, "reserved rank diverged");
+            assert_eq!(eager.reserve(len), rank);
+            let c = chains.len() as u64;
+            for (i, &t) in times.iter().enumerate() {
+                eager.schedule_ranked(t, rank + i as u64, CHAIN | c << 32 | i as u64);
+            }
+            let first = CHAIN | c << 32;
+            let raw = lazy.schedule_ranked(times[0], rank, first);
+            let id = wheel.schedule_ranked(SimTime::from_nanos(times[0]), rank, first);
+            assert_eq!(format!("{id:?}"), id_debug(raw), "ranked id diverged");
+            chains.push(Chain { times, rank });
+        } else if roll < 14 && !ids.is_empty() {
+            let (id, raw, eager_raw) = ids[rng.gen_range(0..ids.len())];
+            let cancelled = wheel.cancel(id);
+            assert_eq!(cancelled, lazy.cancel(raw));
+            assert_eq!(cancelled, eager.cancel(eager_raw));
+        } else if roll < 50 {
+            let got = wheel.pop();
+            let want = lazy.pop();
+            let eager_want = eager.pop();
+            match (got, want) {
+                (None, None) => assert!(eager_want.is_none(), "eager model kept events"),
+                (Some(g), Some((at, raw, pl))) => {
+                    assert_eq!((g.at.as_nanos(), g.event), (at, pl), "pop diverged");
+                    assert_eq!(format!("{:?}", g.id), id_debug(raw), "EventId diverged");
+                    let e = eager_want.map(|(at, _, pl)| (at, pl));
+                    assert_eq!(e, Some((at, pl)), "lazy chaining changed pop order");
+                    now = at;
+                    pops += 1;
+                    queue_next(&chains, pl, &mut lazy, &mut wheel);
+                }
+                (g, w) => panic!("pop presence diverged: {g:?} vs {w:?}"),
+            }
+        } else if roll < 60 {
+            let t = wheel.peek_time().map(SimTime::as_nanos);
+            assert_eq!(t, lazy.peek());
+            assert_eq!(t, eager.peek());
+        } else {
+            // Plain schedules, mostly on the grid (ties with chain
+            // elements), a third of them at exactly now.
+            let at = match rng.gen_range(0..7u32) {
+                0 | 1 => now,
+                2 => now + rng.gen_range(0..GRID),
+                3 => now + rng.gen_range(0..far_ns),
+                6 => level_edge(&mut rng, now),
+                _ => (now / GRID + rng.gen_range(0..8u64)) * GRID,
+            }
+            .max(now);
+            payload += 1;
+            let raw = lazy.schedule(at, payload);
+            let eager_raw = eager.schedule(at, payload);
+            let id = wheel.schedule(SimTime::from_nanos(at), payload);
+            assert_eq!(format!("{id:?}"), id_debug(raw), "schedule id diverged");
+            ids.push((id, raw, eager_raw));
+        }
+        assert_eq!(wheel.len(), lazy.len());
+    }
+    assert!(pops > iters / 5, "too few pops to mean anything: {pops}");
+    loop {
+        let got = wheel.pop().map(|g| (g.at.as_nanos(), g.event));
+        let want = lazy.pop().map(|(at, _, pl)| (at, pl));
+        let eager_want = eager.pop().map(|(at, _, pl)| (at, pl));
+        assert_eq!(got, want, "drain diverged");
+        assert_eq!(got, eager_want, "lazy chaining changed drain order");
+        let Some((_, pl)) = got else { break };
+        queue_next(&chains, pl, &mut lazy, &mut wheel);
+    }
+    assert!(wheel.is_empty());
+}
+
+/// Lazily chained ranked schedules at cycle-scale times.
+#[test]
+fn ranked_chains_pop_like_preloaded_heap() {
+    for seed in [0x91, 0x92, 0x93, 0x94] {
+        cross_check_chains(seed, 4_000, 50_000_000);
+    }
+}
+
+/// The same with far chain steps that cascade through upper levels.
+#[test]
+fn ranked_chains_pop_like_preloaded_heap_across_cascades() {
+    for seed in [0xa1, 0xa2] {
+        cross_check_chains(seed, 2_000, 1u64 << 44);
+    }
 }
 
 /// Time arithmetic: (t + d) - t == d and ordering is consistent.
