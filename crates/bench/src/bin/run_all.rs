@@ -31,6 +31,6 @@ fn main() {
     println!("\n--- Overhead analysis (§4.2) ---");
     print!("{}", overhead::render(&overhead::run(seed)));
 
-    println!("\n(Table 3's per-operation costs are measured on this machine by");
-    println!(" `cargo bench -p gage-bench --bench table3_overheads`.)");
+    println!("\n(Table 3's per-operation costs are the benchmark's per-layer points:");
+    println!(" `perfbench --workload regime --trace 1`, `net.*` and `core.conn_table.*`.)");
 }

@@ -10,10 +10,9 @@
 //! | Table 1 (performance isolation) | [`table1`] | `table1_isolation` |
 //! | Table 2 (spare resource allocation) | [`table2`] | `table2_spare` |
 //! | Figure 3 (deviation vs averaging interval) | [`fig3`] | `fig3_deviation` |
-//! | Table 3 (per-connection / per-packet overheads) | — | `cargo bench` (`table3_overheads`) |
+//! | Table 3 (per-connection / per-packet overheads) | — | `perfbench --workload regime --trace 1` (`net.*`, `core.conn_table.*`) |
 //! | §4.2 (3.06 % QoS overhead) | [`overhead`] | `overhead_analysis` |
 //! | §4.3 (throughput scaling + RDN utilization) | [`scalability`] | `scalability` |
-//! | Hot-path perf baseline (`BENCH_hotpath.json`) | [`hotpath`] | `bench_json` |
 //!
 //! Absolute numbers come from this repository's calibrated simulator, not
 //! the authors' 2002 testbed; the *shape* of each result (who wins, by what
@@ -25,8 +24,6 @@
 
 pub mod common;
 pub mod fig3;
-pub mod hotpath;
-pub mod microbench;
 pub mod overhead;
 pub mod scalability;
 pub mod table1;

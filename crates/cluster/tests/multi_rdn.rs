@@ -163,3 +163,63 @@ fn chaos_dump_is_byte_identical_across_runs() {
     let (_, second) = run_chaos();
     assert_eq!(first, second, "two same-seed chaos runs diverged");
 }
+
+/// Three Poisson sites (2,000-byte files) offering 51,200 req/s against
+/// 36,000 GRPS of reservations: a three-site mix sized for 4 RPNs, scaled
+/// x8 for 32.
+fn sites_for_32_rpns(horizon: f64) -> Vec<SiteSpec> {
+    [
+        ("a", 20_000.0, 19_200.0, 1u64),
+        ("b", 12_000.0, 11_200.0, 2),
+        ("c", 4_000.0, 20_800.0, 3),
+    ]
+    .into_iter()
+    .map(|(name, reservation, rate, salt)| {
+        let mut rng = StdRng::seed_from_u64(1_000 + salt);
+        let mut gen = SyntheticGenerator::new(2_000, 1);
+        let host = format!("{name}.example.com");
+        let trace = Trace::generate(
+            &host,
+            ArrivalProcess::Poisson { rate },
+            horizon,
+            &mut gen,
+            &mut rng,
+        );
+        SiteSpec {
+            host,
+            reservation: Grps(reservation),
+            trace,
+        }
+    })
+    .collect()
+}
+
+/// A fault-free 4-RDN / 32-RPN cluster offered 51,200 req/s for 3 s, run
+/// on until every request has drained. Under `cargo test` the engine's
+/// debug assertions are on, so this is also the debug-mode check of the
+/// timing wheel under the sharded front end's schedule pattern: an
+/// out-of-order pop panics with "time ran backwards".
+#[test]
+fn sharded_32_rpn_cluster_conserves_every_request() {
+    const ARRIVALS_S: f64 = 3.0;
+    let params = ClusterParams {
+        rpn_count: 32,
+        rdn_count: 4,
+        service: ServiceCostModel::generic_requests(),
+        ..Default::default()
+    };
+    let mut sim = ClusterSim::new(params, sites_for_32_rpns(ARRIVALS_S), 42);
+    sim.run_until(SimTime::from_secs(ARRIVALS_S as u64 + 80));
+    for (i, m) in sim.world().metrics.iter().enumerate() {
+        let offered = m.offered.total() as u64;
+        let served = m.served.total() as u64;
+        let dropped = m.dropped.total() as u64;
+        let failed = m.failed.total() as u64;
+        assert!(offered > 0, "sub{i} offered nothing");
+        assert_eq!(
+            offered,
+            served + dropped + failed,
+            "sub{i}: offered {offered} != served {served} + dropped {dropped} + failed {failed}"
+        );
+    }
+}

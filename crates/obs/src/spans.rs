@@ -278,6 +278,15 @@ pub fn reconstruct_records(records: &[Json]) -> Result<SpanReport, String> {
             TraceKind::ReqArrival => {
                 let req = u64_field(rec, "req").map_err(&fail)?;
                 let sub = sub_field(rec).map_err(&fail)?;
+                // Dense ids mean a complete dump holds at least `req + 1`
+                // records; a larger id is corrupt input, and sizing the
+                // store to it would abort on allocation.
+                if req >= records.len() as u64 {
+                    return Err(fail(format!(
+                        "req {req}: id out of range for a dump of {} records",
+                        records.len()
+                    )));
+                }
                 let idx = req as usize;
                 if states.len() <= idx {
                     states.resize(idx + 1, None);
@@ -583,6 +592,27 @@ mod tests {
         let rep = reconstruct(&t.dump().expect("enabled")).expect("valid");
         assert_eq!(rep.unterminated(), vec![0]);
         assert!(!rep.totals_for(0).conserved());
+    }
+
+    /// A hostile id must be refused before the span store is sized to it:
+    /// `2^53 - 1` once aborted the process on a ~1.5 EB allocation.
+    #[test]
+    fn out_of_range_request_ids_are_rejected() {
+        for req in [(1u64 << 53) - 1, 1 << 40] {
+            let dump = format!(
+                "{{\"schema\":\"{}\"}}\n\
+                 {{\"kind\":\"req_arrival\",\"t_ns\":0,\"sub\":0,\"req\":{req}}}\n",
+                crate::TRACE_SCHEMA
+            );
+            let err = reconstruct(&dump).expect_err("out-of-range id");
+            assert!(
+                err.contains("record 0") && err.contains("out of range"),
+                "{err}"
+            );
+            // `gage-audit` goes through the same fold.
+            let config = crate::audit::AuditConfig::default();
+            assert!(crate::audit::audit_dump(&dump, &config).is_err());
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The RPN → RDN control protocol: newline-delimited JSON messages over a
 //! persistent TCP connection.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use gage_core::accounting::UsageReport;
 
@@ -67,22 +67,35 @@ where
     writer.flush()
 }
 
+/// Longest control line [`recv_msg`] accepts, newline included: 1 MiB.
+/// A usage report costs under 270 bytes per subscriber with every value a
+/// full-precision float of up to 10^12 in magnitude, so this holds a
+/// report for more than 3,500 subscribers; the live deployments here send
+/// a handful. A peer that streams past it without a newline is cut off
+/// instead of growing the front end's memory.
+pub const MAX_CONTROL_LINE: usize = 1 << 20;
+
 /// Reads the next message, or `None` on clean EOF.
 ///
 /// # Errors
 ///
-/// Propagates transport errors; malformed lines are reported as
-/// `InvalidData`.
+/// Propagates transport errors; malformed lines and lines longer than
+/// [`MAX_CONTROL_LINE`] are reported as `InvalidData`.
 pub fn recv_msg<R>(reader: &mut R) -> std::io::Result<Option<ControlMsg>>
 where
     R: BufRead,
 {
+    let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
     let mut line = String::new();
-    let n = reader.read_line(&mut line)?;
+    let n = reader.take(MAX_CONTROL_LINE as u64).read_line(&mut line)?;
     if n == 0 {
         return Ok(None);
     }
-    let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
+    if n == MAX_CONTROL_LINE && !line.ends_with('\n') {
+        return Err(invalid(format!(
+            "control line exceeds {MAX_CONTROL_LINE} bytes"
+        )));
+    }
     let doc = gage_json::parse(line.trim_end()).map_err(|e| invalid(e.to_string()))?;
     ControlMsg::from_json(&doc)
         .map(Some)
@@ -92,8 +105,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gage_core::accounting::SubscriberUsage;
     use gage_core::node::RpnId;
     use gage_core::resource::ResourceVector;
+    use gage_core::subscriber::SubscriberId;
     use std::io::BufReader;
     use std::net::{TcpListener, TcpStream};
 
@@ -117,6 +132,50 @@ mod tests {
     fn rejects_unknown_type() {
         let doc = gage_json::parse(r#"{"type":"launch_missiles"}"#).expect("parses");
         assert!(ControlMsg::from_json(&doc).is_none());
+    }
+
+    #[test]
+    fn overlong_line_is_refused_at_the_cap() {
+        // cap + 1 bytes and no newline: refused after reading exactly the
+        // cap, so the line buffer never grew past it.
+        let mut reader = std::io::Cursor::new(vec![b'x'; MAX_CONTROL_LINE + 1]);
+        let err = recv_msg(&mut reader).expect_err("over the cap");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(reader.position(), MAX_CONTROL_LINE as u64);
+
+        // A message padded to exactly the cap, newline included, still reads.
+        let mut line = r#"{"type":"register","http_addr":"127.0.0.1:9001"}"#.to_string();
+        line.push_str(&" ".repeat(MAX_CONTROL_LINE - 1 - line.len()));
+        line.push('\n');
+        let mut reader = std::io::Cursor::new(line.into_bytes());
+        assert!(recv_msg(&mut reader).expect("at the cap").is_some());
+    }
+
+    #[test]
+    fn a_3500_subscriber_report_fits_under_the_cap() {
+        // 17 significant digits at up to 10^12: the widest a plausible
+        // usage value prints.
+        let worst = ResourceVector::new(-1e12 / 7.0, -1e11 / 7.0, -1e10 / 7.0);
+        let msg = ControlMsg::Report {
+            report: UsageReport {
+                rpn: RpnId(u16::MAX),
+                total: worst,
+                outstanding_predicted: worst,
+                per_subscriber: (0..3_500)
+                    .map(|i| SubscriberUsage {
+                        subscriber: SubscriberId(u32::MAX - i),
+                        actual: worst,
+                        settled_predicted: worst,
+                        completed: u32::MAX,
+                    })
+                    .collect(),
+            },
+        };
+        let mut wire = Vec::new();
+        send_msg(&mut wire, &msg).expect("send");
+        assert!(wire.len() < MAX_CONTROL_LINE, "{} bytes", wire.len());
+        let back = recv_msg(&mut wire.as_slice()).expect("recv");
+        assert_eq!(back, Some(msg));
     }
 
     #[test]
