@@ -29,6 +29,20 @@
 //! per-packet event traffic is aggregated, with each collapsed packet
 //! credited to the engine's event count via [`Context::count_logical`].
 //!
+//! # Per-request state
+//!
+//! The 4-tuple keys exactly one structure, the RDN's [`ConnTable`], as
+//! in the paper. The simulator's own per-request records live in one
+//! [`Slab`] per stage — client attempts, dispatches on the RDN→RPN wire,
+//! and each RPN's active requests — and events name a record by its
+//! generational [`SlabKey`]. Requests point into the immutable traces
+//! (site, entry index) instead of copying the URL path. A record that is
+//! gone (an attempt resolved or superseded by a retry, an RPN's work lost
+//! in a crash) leaves its key dead, so any event still aimed at it fails
+//! to resolve and counts nowhere. Outcomes are recorded against the site
+//! whose client issued the attempt, whichever subscriber its Host
+//! classifies to.
+//!
 //! # Per-cycle RPN service batches
 //!
 //! Each RPN owns an *inbox* of newly arrived requests. At each
@@ -99,7 +113,7 @@
 
 use std::net::Ipv4Addr;
 
-use gage_collections::DetMap;
+use gage_collections::{Slab, SlabKey};
 use gage_core::accounting::{SubscriberUsage, UsageReport};
 use gage_core::conn_table::{ConnTable, Route};
 use gage_core::merge::{AcctDelta, AcctRow, AcctTable};
@@ -112,7 +126,7 @@ use gage_net::addr::{Endpoint, FourTuple, MacAddr, Port};
 use gage_net::splice::SpliceMap;
 use gage_net::SeqNum;
 use gage_obs::{Registry, TraceEvent, Tracer};
-use gage_workload::Trace;
+use gage_workload::{Trace, TraceEntry};
 
 use crate::cache::LruCache;
 use crate::faults::{FaultEvent, FaultPlan, FaultState};
@@ -132,35 +146,34 @@ pub struct SiteSpec {
     pub trace: Trace,
 }
 
-/// Everything the RDN attaches to a dispatched request so the RPN's local
-/// service manager can build the splice and echo predictions.
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct DispatchMeta {
-    sub: SubscriberId,
-    /// Run-wide logical request id (stable across retries).
-    req: u64,
-    predicted: ResourceVector,
-    rdn_isn: SeqNum,
-    path: String,
-    size: u64,
-    /// The client↔cluster connection the dispatch serves.
-    conn: FourTuple,
-    /// The front end that booked the dispatch, and its boot epoch at
-    /// dispatch time — a bounced dispatch can only be refunded to the
-    /// same life of the same front.
-    rdn: u16,
-    rdn_epoch: u32,
+/// Where a request's URL lives: entry `idx` of site `site`'s immutable
+/// trace. Requests carry this instead of a copy of the path, so issuing,
+/// queueing and dispatching one allocates nothing.
+#[derive(Debug, Clone, Copy)]
+struct UrlRef {
+    /// The issuing site (trace owner), not the subscriber the Host
+    /// classifies to.
+    site: u32,
+    idx: u32,
+}
+
+impl UrlRef {
+    fn entry(self, traces: &[Trace]) -> &TraceEntry {
+        &traces[self.site as usize].entries[self.idx as usize]
+    }
 }
 
 /// A request sitting in an RDN subscriber queue.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PendingRequest {
+    /// The client↔cluster connection — the connection-table key.
     conn: FourTuple,
+    /// The client attempt the request answers.
+    attempt: SlabKey,
     /// Run-wide logical request id (stable across retries).
     req: u64,
     rdn_isn: SeqNum,
-    path: String,
+    url: UrlRef,
     size: u64,
     /// When this request (re-)entered the scheduler queue, for the
     /// queue-wait histogram.
@@ -173,15 +186,19 @@ impl gage_core::scheduler::TraceTag for PendingRequest {
     }
 }
 
-/// What an outstanding client connection is requesting. The URL itself is
-/// not copied here: `idx` points back into the subscriber's immutable
-/// trace, so issuing (and re-issuing on retry) allocates nothing.
-#[derive(Debug, Clone, Copy)]
-struct UrlInfo {
-    /// Trace entry index within the owning subscriber's trace.
-    idx: u32,
-    /// Run-wide logical request id (stable across retries).
-    req: u64,
+/// A dispatched request on the RDN→RPN wire: the queued request plus
+/// what the RPN's local service manager needs to build the splice and
+/// echo predictions.
+#[derive(Debug)]
+struct DispatchMeta {
+    pending: PendingRequest,
+    sub: SubscriberId,
+    predicted: ResourceVector,
+    /// The front end that booked the dispatch, and its boot epoch at
+    /// dispatch time — a bounced dispatch can only be refunded to the
+    /// same life of the same front.
+    rdn: u16,
+    rdn_epoch: u32,
 }
 
 /// Cluster events (public only because [`World`] implements
@@ -193,36 +210,28 @@ pub enum Ev {
     Issue { sub: u32, idx: u32 },
     /// The client's URL packet reaches the RDN, handshake complete (the
     /// whole 3-hop first-leg exchange collapsed into one event).
-    UrlArrive { sub: u32, conn: FourTuple },
+    UrlArrive { attempt: SlabKey },
     /// An RDN refusal (RST) reaches the client.
-    ClientRst { sub: u32, conn: FourTuple },
-    /// A dispatched request reaches an RPN. The metadata is boxed to keep
-    /// `Ev` small: every wheel slot move copies a full `Ev`, and dispatches
-    /// are a small fraction of total events.
-    RpnArrive { rpn: u16, meta: Box<DispatchMeta> },
-    /// An RPN finished serving a request (NIC drained); valid only in the
-    /// node's boot `epoch`.
-    Complete {
-        rpn: u16,
-        epoch: u32,
-        conn: FourTuple,
-    },
+    ClientRst { attempt: SlabKey },
+    /// A dispatched request reaches an RPN; `dispatch` keys it in
+    /// [`World`]'s slab of dispatches on the RDN→RPN wire.
+    RpnArrive { rpn: u16, dispatch: SlabKey },
+    /// An RPN finished serving request `active` (NIC drained). A crash
+    /// clears the node's active slab, so a completion scheduled in a
+    /// previous life no longer resolves.
+    Complete { rpn: u16, active: SlabKey },
     /// A complete response reaches a client.
-    ResponseArrive { sub: u32, conn: FourTuple },
+    ResponseArrive { attempt: SlabKey },
     /// A client's per-attempt request timer expired.
-    ClientTimeout {
-        sub: u32,
-        conn: FourTuple,
-        attempt: u32,
-    },
+    ClientTimeout { attempt: SlabKey },
     /// The RDN scheduler's 10 ms tick — also the lane barrier.
     SchedTick,
     /// An RPN's accounting-cycle tick (valid only in its boot `epoch`).
     AcctTick { rpn: u16, epoch: u32 },
-    /// An accounting report reaches front end `to_rdn`. Boxed for the
-    /// same reason as [`Ev::RpnArrive`]: reports are one event per
-    /// accounting cycle per front, but their inline size would tax every
-    /// event the wheel moves.
+    /// An accounting report reaches front end `to_rdn`. Boxed because
+    /// every wheel slot move copies a whole `Ev`: reports are one event
+    /// per accounting cycle per front, but their inline size would tax
+    /// every event the wheel moves.
     Report {
         to_rdn: u16,
         report: Box<UsageReport>,
@@ -250,6 +259,10 @@ pub enum Ev {
 #[derive(Debug)]
 struct ActiveReq {
     sub: SubscriberId,
+    /// The client↔cluster connection (its route is torn down on
+    /// completion) and the client attempt the response resolves.
+    conn: FourTuple,
+    attempt: SlabKey,
     /// Run-wide logical request id (stable across retries).
     req: u64,
     predicted: ResourceVector,
@@ -281,11 +294,11 @@ struct ActiveReq {
 /// [`ActiveReq`]).
 #[derive(Debug)]
 struct LaneJob {
-    conn: FourTuple,
+    active: SlabKey,
     /// Arrival instant: service chains from here, not from the barrier,
     /// so batching never costs capacity.
     ready: SimTime,
-    path: String,
+    url: UrlRef,
     size: u64,
     /// CGI cost multiplier (1.0 for static requests).
     cpu_mult: f64,
@@ -297,7 +310,7 @@ struct LaneJob {
 /// turns into an [`Ev::Complete`].
 #[derive(Debug, Clone, Copy)]
 struct LaneDone {
-    conn: FourTuple,
+    active: SlabKey,
     fin: SimTime,
     /// Whether the request took the disk stage (its collapsed completion
     /// covers one more legacy event).
@@ -321,7 +334,7 @@ struct Rpn {
     cache: Option<LruCache>,
     processes: ProcessTable,
     workers: Vec<Pid>,
-    active: DetMap<FourTuple, ActiveReq>,
+    active: Slab<ActiveReq>,
     /// Requests arrived since the last barrier, in arrival order.
     inbox: Vec<LaneJob>,
     /// Completions produced by the last flush, merged at the barrier.
@@ -336,9 +349,9 @@ struct Rpn {
     completed_requests: u64,
     /// Multiplier on this node's timer periods (1.0 ± a few hundred ppm).
     clock_skew: f64,
-    /// Boot generation: bumped on every crash so events scheduled against a
-    /// previous life of the node (completions, accounting ticks) are
-    /// recognizably stale and ignored.
+    /// Boot generation: bumped on every crash so accounting ticks
+    /// scheduled in a previous life of the node are recognizably stale and
+    /// ignored. (Completions need no epoch: the crash clears `active`.)
     epoch: u32,
 }
 
@@ -347,10 +360,11 @@ struct Rpn {
 /// finish times on the matching [`ActiveReq`], and queues a [`LaneDone`]
 /// per request for the barrier merge.
 ///
-/// A free function over `(&mut Rpn, &ClusterParams)`: it touches no RDN,
-/// tracer, RNG or cross-node state, so an RPN's batch depends only on
-/// that RPN and the barrier merge order alone fixes the event order.
-fn flush_lane(rpn: &mut Rpn, params: &ClusterParams) {
+/// A free function over `(&mut Rpn, &ClusterParams)` and the immutable
+/// traces: it touches no RDN, tracer, RNG or cross-node state, so an RPN's
+/// batch depends only on that RPN and the barrier merge order alone fixes
+/// the event order.
+fn flush_lane(rpn: &mut Rpn, params: &ClusterParams, traces: &[Trace]) {
     let speed = params.rpn_speed;
     let mut inbox = std::mem::take(&mut rpn.inbox);
     for job in inbox.drain(..) {
@@ -368,7 +382,7 @@ fn flush_lane(rpn: &mut Rpn, params: &ClusterParams) {
                 ..
             } => match rpn.cache.as_mut() {
                 Some(cache) => {
-                    if cache.access(&job.path, job.size) {
+                    if cache.access(&job.url.entry(traces).path, job.size) {
                         0.0
                     } else {
                         seek_us + job.size as f64 / transfer_bytes_per_sec * 1e6
@@ -388,7 +402,7 @@ fn flush_lane(rpn: &mut Rpn, params: &ClusterParams) {
             disk_fin,
             SimDuration::from_secs_f64(wire / params.network.rpn_egress_bytes_per_sec),
         );
-        if let Some(req) = rpn.active.get_mut(&job.conn) {
+        if let Some(req) = rpn.active.get_mut(job.active) {
             req.cpu_us = cpu_us * speed; // account in reference-machine µs
             req.disk_us = disk_us;
             req.net_bytes = wire;
@@ -397,7 +411,7 @@ fn flush_lane(rpn: &mut Rpn, params: &ClusterParams) {
             req.nic_fin = nic_fin;
         }
         rpn.outbox.push(LaneDone {
-            conn: job.conn,
+            active: job.active,
             fin: nic_fin,
             has_disk: disk_us > 0.0,
         });
@@ -415,9 +429,19 @@ fn response_wire_bytes(net: &NetworkParams, size: u64) -> f64 {
     (size + 200 + data_pkts * 54) as f64
 }
 
-/// A client's record of one outstanding request attempt.
+/// A client's record of one outstanding request attempt, addressed by its
+/// slab handle. A retry is a fresh attempt under a fresh handle, so every
+/// event still aimed at the superseded one (its URL exchange, reset,
+/// response or timer) fails to resolve.
 #[derive(Debug, Clone, Copy)]
-struct PendingClientReq {
+struct Attempt {
+    /// The issuing site and the trace entry it requests; outcomes are
+    /// recorded against this site whatever its Host classifies to.
+    url: UrlRef,
+    /// Run-wide logical request id (stable across retries).
+    req: u64,
+    /// The client↔cluster connection this attempt opened.
+    conn: FourTuple,
     /// When the *first* attempt was issued; latency on eventual success
     /// spans retries.
     first_issued: SimTime,
@@ -425,13 +449,6 @@ struct PendingClientReq {
     attempt: u32,
     /// The armed [`Ev::ClientTimeout`], cancelled when the request resolves.
     timeout: EventId,
-}
-
-#[derive(Debug)]
-struct ClientSide {
-    /// Outstanding requests keyed by their client→cluster tuple.
-    pending: DetMap<FourTuple, PendingClientReq>,
-    issued: u64,
 }
 
 /// One front-end RDN: the per-peer slice of dispatch state. Every front
@@ -469,9 +486,13 @@ pub struct World {
     /// The front-end RDNs, `params.rdn_count` of them.
     fronts: Vec<RdnFront>,
     rpns: Vec<Rpn>,
-    clients: Vec<ClientSide>,
-    /// What each outstanding connection is requesting.
-    client_url: DetMap<FourTuple, UrlInfo>,
+    /// Outstanding client attempts.
+    attempts: Slab<Attempt>,
+    /// Attempts each site's client has sent (retries included); picks the
+    /// next attempt's source endpoint.
+    client_issued: Vec<u64>,
+    /// Dispatches in flight on the RDN→RPN wire.
+    wire: Slab<DispatchMeta>,
     rr_next: usize,
     isn_counter: u32,
     /// Next run-wide logical request id. Assigned unconditionally at issue
@@ -582,8 +603,7 @@ impl World {
         // re-counting, so offered == served + dropped + failed holds exactly.
         self.metrics[sub as usize].offered.record(ctx.now(), 1.0);
         self.tracer.emit(TraceEvent::ReqArrival { sub, req });
-        let first_issued = ctx.now();
-        self.issue_request(ctx, sub, UrlInfo { idx, req }, first_issued, 0);
+        self.issue_request(ctx, UrlRef { site: sub, idx }, req, ctx.now(), 0);
         // Open loop: the client's next request is due at its trace time
         // whatever happened to this one. Only it is queued, under the rank
         // reserved for it at construction.
@@ -604,111 +624,92 @@ impl World {
     fn issue_request(
         &mut self,
         ctx: &mut Context<'_, Ev>,
-        sub: u32,
-        url: UrlInfo,
+        url: UrlRef,
+        req: u64,
         first_issued: SimTime,
         attempt: u32,
     ) {
-        // Copy-cheap: `url` names the trace entry, it doesn't own the URL.
-        let n = self.clients[sub as usize].issued;
-        self.clients[sub as usize].issued += 1;
-        let client_ep = self.client_endpoint(sub, n);
-        let conn = FourTuple::new(client_ep, self.cluster_ep);
+        let sub = url.site as usize;
+        let n = self.client_issued[sub];
+        self.client_issued[sub] += 1;
+        let conn = FourTuple::new(self.client_endpoint(url.site, n), self.cluster_ep);
         let retry = self.params.client_retry;
         let timeout_in = retry.timeout.mul_f64(retry.backoff.powi(attempt as i32));
-        let timeout = ctx.schedule_in(timeout_in, Ev::ClientTimeout { sub, conn, attempt });
-        self.clients[sub as usize].pending.insert(
+        // The timer names the attempt it guards, so it is armed under the
+        // handle the attempt is about to be stored at.
+        let key = self.attempts.vacant_key();
+        let timeout = ctx.schedule_in(timeout_in, Ev::ClientTimeout { attempt: key });
+        let stored = self.attempts.insert(Attempt {
+            url,
+            req,
             conn,
-            PendingClientReq {
-                first_issued,
-                attempt,
-                timeout,
-            },
-        );
-        self.client_url.insert(conn, url);
+            first_issued,
+            attempt,
+            timeout,
+        });
+        debug_assert_eq!(stored, key);
         self.isn_counter = self.isn_counter.wrapping_add(64_223);
         let hop = self.hop();
-        ctx.schedule_in(hop * 3, Ev::UrlArrive { sub, conn });
+        ctx.schedule_in(hop * 3, Ev::UrlArrive { attempt: key });
     }
 
-    fn on_client_timeout(
-        &mut self,
-        ctx: &mut Context<'_, Ev>,
-        sub: u32,
-        conn: FourTuple,
-        attempt: u32,
-    ) {
-        let Some(entry) = self.clients[sub as usize].pending.get(&conn).copied() else {
+    fn on_client_timeout(&mut self, ctx: &mut Context<'_, Ev>, key: SlabKey) {
+        let Some(a) = self.attempts.remove(key) else {
             return; // resolved (served or reset) before the timer fired
         };
-        if entry.attempt != attempt {
-            return; // stale timer from an earlier attempt on a reused tuple
-        }
-        self.clients[sub as usize].pending.remove(&conn);
-        let url = self.client_url.remove(&conn);
-        let req = url.map_or(0, |u| u.req);
-        let retry = self.params.client_retry;
-        if attempt < retry.max_retries {
-            if let Some(url) = url {
-                self.tracer.emit(TraceEvent::RequestRetry {
-                    sub,
-                    req,
-                    attempt: attempt + 1,
-                });
-                self.issue_request(ctx, sub, url, entry.first_issued, attempt + 1);
-                return;
-            }
+        let sub = a.url.site;
+        if a.attempt < self.params.client_retry.max_retries {
+            self.tracer.emit(TraceEvent::RequestRetry {
+                sub,
+                req: a.req,
+                attempt: a.attempt + 1,
+            });
+            self.issue_request(ctx, a.url, a.req, a.first_issued, a.attempt + 1);
+            return;
         }
         // Out of retries: the request terminally fails at the client.
         self.metrics[sub as usize].failed.record(ctx.now(), 1.0);
         self.tracer.emit(TraceEvent::RequestFailed {
             sub,
-            req,
-            attempts: attempt + 1,
+            req: a.req,
+            attempts: a.attempt + 1,
         });
     }
 
     /// An RST from the RDN (queue overflow, unknown host, unrecoverable
     /// dispatch): the request resolves as dropped and its retry timer is
     /// disarmed.
-    fn on_client_rst(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, conn: FourTuple) {
-        let url = self.client_url.remove(&conn);
-        if let Some(entry) = self.clients[sub as usize].pending.remove(&conn) {
-            ctx.cancel(entry.timeout);
+    fn on_client_rst(&mut self, ctx: &mut Context<'_, Ev>, key: SlabKey) {
+        if let Some(a) = self.attempts.remove(key) {
+            ctx.cancel(a.timeout);
+            let sub = a.url.site;
             self.metrics[sub as usize].dropped.record(ctx.now(), 1.0);
-            self.tracer.emit(TraceEvent::ReqDropped {
-                sub,
-                req: url.map_or(0, |u| u.req),
-            });
+            self.tracer.emit(TraceEvent::ReqDropped { sub, req: a.req });
         }
     }
 
-    fn on_response_arrive(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, conn: FourTuple) {
-        let url = self.client_url.remove(&conn);
-        if let Some(entry) = self.clients[sub as usize].pending.remove(&conn) {
-            ctx.cancel(entry.timeout);
-            let latency = ctx.now().saturating_since(entry.first_issued);
-            self.metrics[sub as usize].served.record(ctx.now(), 1.0);
-            self.metrics[sub as usize].latency_total += latency;
-            self.metrics[sub as usize]
-                .latency_ms
-                .observe(latency.as_secs_f64() * 1e3);
-            self.tracer.emit(TraceEvent::ReqServed {
-                sub,
-                req: url.map_or(0, |u| u.req),
-            });
+    fn on_response_arrive(&mut self, ctx: &mut Context<'_, Ev>, key: SlabKey) {
+        if let Some(a) = self.attempts.remove(key) {
+            ctx.cancel(a.timeout);
+            let sub = a.url.site;
+            let latency = ctx.now().saturating_since(a.first_issued);
+            let m = &mut self.metrics[sub as usize];
+            m.served.record(ctx.now(), 1.0);
+            m.latency_total += latency;
+            m.latency_ms.observe(latency.as_secs_f64() * 1e3);
+            self.tracer.emit(TraceEvent::ReqServed { sub, req: a.req });
         }
     }
 
     // ---- RDN ----
 
     /// Refuses a client request: charges front end `rdn` for the reset
-    /// packet and RSTs the connection so the client resolves it as
+    /// packet and RSTs the connection so the client resolves `attempt` as
     /// dropped.
-    fn refuse(&mut self, ctx: &mut Context<'_, Ev>, rdn: usize, sub: u32, conn: FourTuple) {
+    fn refuse(&mut self, ctx: &mut Context<'_, Ev>, rdn: usize, attempt: SlabKey) {
         self.charge_rdn(rdn, ctx.now(), 1, 0.0);
         let hop = self.hop();
-        ctx.schedule_in(hop, Ev::ClientRst { sub, conn });
+        ctx.schedule_in(hop, Ev::ClientRst { attempt });
     }
 
     /// Forwards a dispatched request onto the RDN→RPN link, subject to any
@@ -722,38 +723,29 @@ impl World {
             }
             delay += extra;
         }
-        ctx.schedule_in(
-            delay,
-            Ev::RpnArrive {
-                rpn,
-                meta: Box::new(meta),
-            },
-        );
+        let dispatch = self.wire.insert(meta);
+        ctx.schedule_in(delay, Ev::RpnArrive { rpn, dispatch });
     }
 
     /// The collapsed first-leg exchange: charges the SYN + SYN-ACK (setup)
     /// and ACK + URL (classification) packet batches, resolves the Host,
     /// and queues or dispatches the request. Credits the three collapsed
     /// packet events (SYN, SYN-ACK, ACK) to the engine's logical count.
-    fn on_url_arrive(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, conn: FourTuple) {
-        let Some(url) = self.client_url.get(&conn).copied() else {
+    fn on_url_arrive(&mut self, ctx: &mut Context<'_, Ev>, attempt: SlabKey) {
+        let Some(&a) = self.attempts.get(attempt) else {
             return; // resolved before the exchange finished
         };
-        // The subscriber's home-shard owner answers its cluster address.
+        // The issuing site's home-shard owner answers its cluster address.
         // A dead front end answers nothing: the exchange vanishes on the
         // wire and the client's timeout/retry resolves the request
         // (failover re-homes the shard within the watchdog grace).
-        let rdn = self.owner_rdn(sub) as usize;
+        let rdn = self.owner_rdn(a.url.site) as usize;
         if self.dead_rdns[rdn] {
             return;
         }
-        // Resolve the URL from the immutable trace before any `&mut self`
-        // work below; only `path` is ever cloned, and only on the
-        // successfully-classified path.
-        let entry = &self.traces[sub as usize].entries[url.idx as usize];
+        let entry = a.url.entry(&self.traces);
         let size = entry.size_bytes;
         let classified = self.registry.classify_host(&entry.host);
-        let path = classified.map(|_| entry.path.clone());
         ctx.count_logical(3);
         // Handshake emulation: SYN in, SYN-ACK out. With an asymmetric
         // front-end cluster the setup CPU work moves to a secondary RDN;
@@ -773,25 +765,26 @@ impl World {
         let rdn_isn = SeqNum::new(self.isn_counter);
         // The handshake ACK and the URL packet itself, classified at 3 µs.
         self.charge_rdn(rdn, ctx.now(), 2, self.params.rdn_costs.classification_us);
-        let (Some(sub_id), Some(path)) = (classified, path) else {
+        let Some(sub_id) = classified else {
             self.unknown_host_drops += 1;
             // Still terminate the connection: the issuing client resolves
             // the request as dropped.
-            self.refuse(ctx, rdn, sub, conn);
+            self.refuse(ctx, rdn, attempt);
             return;
         };
         let req = PendingRequest {
-            conn,
-            req: url.req,
+            conn: a.conn,
+            attempt,
+            req: a.req,
             rdn_isn,
-            path,
+            url: a.url,
             size,
             enqueued_at: ctx.now(),
         };
         match self.params.mode {
             GageMode::Enabled => {
-                if let Err(req) = self.fronts[rdn].scheduler.enqueue(sub_id, req) {
-                    self.refuse(ctx, rdn, sub_id.0, req.conn);
+                if self.fronts[rdn].scheduler.enqueue(sub_id, req).is_err() {
+                    self.refuse(ctx, rdn, attempt);
                 }
             }
             GageMode::Bypass => {
@@ -822,13 +815,9 @@ impl World {
         let wait_ms = ctx.now().saturating_since(req.enqueued_at).as_secs_f64() * 1e3;
         self.metrics[sub.0 as usize].queue_wait_ms.observe(wait_ms);
         let meta = DispatchMeta {
+            pending: req,
             sub,
-            req: req.req,
             predicted,
-            rdn_isn: req.rdn_isn,
-            path: req.path,
-            size: req.size,
-            conn: req.conn,
             rdn: rdn as u16,
             rdn_epoch: self.fronts[rdn].epoch,
         };
@@ -840,7 +829,6 @@ impl World {
     /// and the collapsed per-stage events are credited as logical events.
     /// Always called in fixed RPN order — this is the determinism barrier.
     fn merge_outbox(&mut self, ctx: &mut Context<'_, Ev>, r: usize) {
-        let epoch = self.rpns[r].epoch;
         let mut outbox = std::mem::take(&mut self.rpns[r].outbox);
         for done in outbox.drain(..) {
             // One legacy CpuDone + NicDone pair collapses into Complete
@@ -850,8 +838,7 @@ impl World {
                 done.fin,
                 Ev::Complete {
                     rpn: r as u16,
-                    epoch,
-                    conn: done.conn,
+                    active: done.active,
                 },
             );
         }
@@ -862,7 +849,7 @@ impl World {
         // Barrier first: flush every RPN's batch, then merge completions
         // back in fixed RPN order.
         for rpn in &mut self.rpns {
-            flush_lane(rpn, &self.params);
+            flush_lane(rpn, &self.params, &self.traces);
         }
         for r in 0..self.rpns.len() {
             self.merge_outbox(ctx, r);
@@ -982,13 +969,12 @@ impl World {
                 f.scheduler.set_reservation(sub, Grps(0.0));
                 let drained = f.scheduler.drain_queue(sub);
                 for req in drained {
-                    let conn = req.conn;
                     if self.fronts[to as usize]
                         .scheduler
                         .enqueue(sub, req)
                         .is_err()
                     {
-                        self.refuse(ctx, to as usize, sub.0, conn);
+                        self.refuse(ctx, to as usize, req.attempt);
                     }
                 }
             }
@@ -1129,7 +1115,10 @@ impl World {
 
     // ---- RPN ----
 
-    fn on_rpn_arrive(&mut self, ctx: &mut Context<'_, Ev>, rpn_idx: u16, meta: DispatchMeta) {
+    fn on_rpn_arrive(&mut self, ctx: &mut Context<'_, Ev>, rpn_idx: u16, dispatch: SlabKey) {
+        let Some(meta) = self.wire.remove(dispatch) else {
+            return;
+        };
         if self.dead_rpns[rpn_idx as usize] {
             // The node is down; delivery failure is visible at the link
             // layer, so the RDN pulls the dispatch back: its booking is
@@ -1137,7 +1126,8 @@ impl World {
             self.requeue_undelivered(ctx, rpn_idx, meta);
             return;
         }
-        let (data_pkts, ack_pkts) = response_packet_counts(&self.params.network, meta.size);
+        let p = meta.pending;
+        let (data_pkts, ack_pkts) = response_packet_counts(&self.params.network, p.size);
         let overhead_us = match self.params.mode {
             GageMode::Enabled => self.params.gage_rpn_overhead_us(data_pkts, ack_pkts),
             GageMode::Bypass => 0.0,
@@ -1149,17 +1139,17 @@ impl World {
             .params
             .dynamic
             .as_ref()
-            .filter(|d| meta.path.starts_with(&d.path_prefix))
+            .filter(|d| p.url.entry(&self.traces).path.starts_with(&d.path_prefix))
             .map(|d| d.cpu_multiplier);
         let rpn = &mut self.rpns[rpn_idx as usize];
         rpn.isn_counter = rpn.isn_counter.wrapping_add(104_729);
         let splice = SpliceMap::new_traced(
-            meta.conn.src,
+            p.conn.src,
             self.cluster_ep,
             rpn.ip,
-            meta.rdn_isn,
+            p.rdn_isn,
             SeqNum::new(rpn.isn_counter),
-            meta.req,
+            p.req,
             &self.tracer,
         );
         let worker = rpn.workers[meta.sub.0 as usize];
@@ -1172,38 +1162,37 @@ impl World {
             (worker, false)
         };
         rpn.outstanding_by_rdn[meta.rdn as usize] += meta.predicted;
-        rpn.active.insert(
-            meta.conn,
-            ActiveReq {
-                sub: meta.sub,
-                req: meta.req,
-                predicted: meta.predicted,
-                splice,
-                size: meta.size,
-                disk_us: 0.0,
-                cpu_us: 0.0,
-                net_bytes: 0.0,
-                pid,
-                reap_pid,
-                rdn: meta.rdn,
-                rdn_epoch: meta.rdn_epoch,
-                cpu_fin: SimTime::MAX,
-                disk_fin: SimTime::MAX,
-                nic_fin: SimTime::MAX,
-            },
-        );
+        let active = rpn.active.insert(ActiveReq {
+            sub: meta.sub,
+            conn: p.conn,
+            attempt: p.attempt,
+            req: p.req,
+            predicted: meta.predicted,
+            splice,
+            size: p.size,
+            disk_us: 0.0,
+            cpu_us: 0.0,
+            net_bytes: 0.0,
+            pid,
+            reap_pid,
+            rdn: meta.rdn,
+            rdn_epoch: meta.rdn_epoch,
+            cpu_fin: SimTime::MAX,
+            disk_fin: SimTime::MAX,
+            nic_fin: SimTime::MAX,
+        });
         rpn.inbox.push(LaneJob {
-            conn: meta.conn,
+            active,
             ready: ctx.now(),
-            path: meta.path,
-            size: meta.size,
+            url: p.url,
+            size: p.size,
             cpu_mult: dynamic.unwrap_or(1.0),
             overhead_us,
         });
         if self.params.mode == GageMode::Bypass {
             // No scheduling tick exists to act as the barrier: flush this
             // lane inline, which reproduces exact unbatched timing.
-            flush_lane(&mut self.rpns[rpn_idx as usize], &self.params);
+            flush_lane(&mut self.rpns[rpn_idx as usize], &self.params, &self.traces);
             self.merge_outbox(ctx, rpn_idx as usize);
         }
     }
@@ -1219,7 +1208,8 @@ impl World {
         if self.dead_rdns[f] || self.fronts[f].epoch != meta.rdn_epoch {
             return;
         }
-        self.fronts[f].conn_table.remove(meta.conn);
+        let mut req = meta.pending;
+        self.fronts[f].conn_table.remove(req.conn);
         match self.params.mode {
             GageMode::Enabled => {
                 self.fronts[f]
@@ -1227,48 +1217,28 @@ impl World {
                     .void_dispatch(meta.sub, RpnId(rpn_idx), meta.predicted);
                 self.tracer.emit(TraceEvent::DispatchRequeued {
                     sub: meta.sub.0,
-                    req: meta.req,
+                    req: req.req,
                     rpn: rpn_idx,
                 });
-                let req = PendingRequest {
-                    conn: meta.conn,
-                    req: meta.req,
-                    rdn_isn: meta.rdn_isn,
-                    path: meta.path,
-                    size: meta.size,
-                    enqueued_at: ctx.now(),
-                };
-                if let Err(req) = self.fronts[f].scheduler.requeue(meta.sub, req) {
-                    self.refuse(ctx, f, meta.sub.0, req.conn);
+                req.enqueued_at = ctx.now();
+                if self.fronts[f].scheduler.requeue(meta.sub, req).is_err() {
+                    self.refuse(ctx, f, req.attempt);
                 }
             }
             GageMode::Bypass => {
                 // No scheduler queues to return to: refuse outright.
-                self.refuse(ctx, f, meta.sub.0, meta.conn);
+                self.refuse(ctx, f, req.attempt);
             }
         }
-    }
-
-    /// True if an event stamped with `epoch` belongs to a previous life of
-    /// the node (or the node is down) and must be ignored.
-    fn stale_epoch(&self, rpn_idx: u16, epoch: u32) -> bool {
-        self.dead_rpns[rpn_idx as usize] || self.rpns[rpn_idx as usize].epoch != epoch
     }
 
     /// A request's NIC stage drained: settle its accounting, charge the
     /// bridged ACK/FIN stream, tear the splice down and send the response
     /// on its final hop to the client.
-    fn on_complete(
-        &mut self,
-        ctx: &mut Context<'_, Ev>,
-        rpn_idx: u16,
-        epoch: u32,
-        conn: FourTuple,
-    ) {
-        if self.stale_epoch(rpn_idx, epoch) {
-            return;
-        }
-        let Some(req) = self.rpns[rpn_idx as usize].active.remove(&conn) else {
+    fn on_complete(&mut self, ctx: &mut Context<'_, Ev>, rpn_idx: u16, active: SlabKey) {
+        // A crash clears the active slab, so a completion from a previous
+        // life of the node fails to resolve here.
+        let Some(req) = self.rpns[rpn_idx as usize].active.remove(active) else {
             return;
         };
         let sub = req.sub;
@@ -1309,14 +1279,20 @@ impl World {
                 ack_pkts + 1,
                 self.params.rdn_costs.forwarding_us * (ack_pkts + 1) as f64,
             );
-            self.fronts[f].conn_table.remove(conn);
+            self.fronts[f].conn_table.remove(req.conn);
         }
         let hop = self.hop();
-        ctx.schedule_in(hop, Ev::ResponseArrive { sub: sub.0, conn });
+        ctx.schedule_in(
+            hop,
+            Ev::ResponseArrive {
+                attempt: req.attempt,
+            },
+        );
     }
 
     fn on_acct_tick(&mut self, ctx: &mut Context<'_, Ev>, rpn_idx: u16, epoch: u32) {
-        if self.stale_epoch(rpn_idx, epoch) {
+        let idx = rpn_idx as usize;
+        if self.dead_rpns[idx] || self.rpns[idx].epoch != epoch {
             return; // crashed nodes stop reporting until recovery reboots them
         }
         // One report per front end, each carrying the usage lines of the
@@ -1324,7 +1300,6 @@ impl World {
         // booked itself. A front with no owned activity still gets an
         // empty report — the heartbeat its watchdog runs on.
         let hop = self.hop();
-        let idx = rpn_idx as usize;
         let rollup = self.rpns[idx].processes.rollup();
         let total = std::mem::replace(&mut self.rpns[idx].total_cycle_usage, ResourceVector::ZERO);
         for dest in 0..self.fronts.len() {
@@ -1388,7 +1363,7 @@ impl World {
         // cluster (the nodes started together) while the cluster-wide phase
         // drifts slowly relative to measurement windows, as on real
         // hardware.
-        let skew = self.rpns[rpn_idx as usize].clock_skew;
+        let skew = self.rpns[idx].clock_skew;
         // Kernel timers also fire with small scheduling noise (±1% of the
         // period here); without it the perfectly-periodic reports alias
         // against averaging windows that are exact multiples of the cycle.
@@ -1610,14 +1585,12 @@ impl Model for World {
         self.last_event_at = ctx.now();
         match event {
             Ev::Issue { sub, idx } => self.on_issue(ctx, sub, idx),
-            Ev::UrlArrive { sub, conn } => self.on_url_arrive(ctx, sub, conn),
-            Ev::ClientRst { sub, conn } => self.on_client_rst(ctx, sub, conn),
-            Ev::RpnArrive { rpn, meta } => self.on_rpn_arrive(ctx, rpn, *meta),
-            Ev::Complete { rpn, epoch, conn } => self.on_complete(ctx, rpn, epoch, conn),
-            Ev::ResponseArrive { sub, conn } => self.on_response_arrive(ctx, sub, conn),
-            Ev::ClientTimeout { sub, conn, attempt } => {
-                self.on_client_timeout(ctx, sub, conn, attempt)
-            }
+            Ev::UrlArrive { attempt } => self.on_url_arrive(ctx, attempt),
+            Ev::ClientRst { attempt } => self.on_client_rst(ctx, attempt),
+            Ev::RpnArrive { rpn, dispatch } => self.on_rpn_arrive(ctx, rpn, dispatch),
+            Ev::Complete { rpn, active } => self.on_complete(ctx, rpn, active),
+            Ev::ResponseArrive { attempt } => self.on_response_arrive(ctx, attempt),
+            Ev::ClientTimeout { attempt } => self.on_client_timeout(ctx, attempt),
             Ev::SchedTick => self.on_sched_tick(ctx),
             Ev::AcctTick { rpn, epoch } => self.on_acct_tick(ctx, rpn, epoch),
             Ev::Report { to_rdn, report } => self.on_report(ctx, to_rdn, *report),
@@ -1729,7 +1702,7 @@ impl ClusterSim {
                 cache,
                 processes,
                 workers,
-                active: DetMap::new(),
+                active: Slab::new(),
                 inbox: Vec::new(),
                 outbox: Vec::new(),
                 outstanding_by_rdn: vec![ResourceVector::ZERO; params.rdn_count],
@@ -1752,12 +1725,9 @@ impl ClusterSim {
             cluster_ep: Endpoint::new(Ipv4Addr::new(10, 0, 1, 1), Port::HTTP),
             fronts,
             rpns,
-            clients: (0..n_sites)
-                .map(|_| ClientSide {
-                    pending: DetMap::new(),
-                    issued: 0,
-                })
-                .collect(),
+            attempts: Slab::new(),
+            client_issued: vec![0; n_sites],
+            wire: Slab::new(),
             rr_next: 0,
             isn_counter: 1,
             next_req: 0,
@@ -1781,7 +1751,6 @@ impl ClusterSim {
             sched_ticks: 0,
             last_event_at: SimTime::ZERO,
             tracer: Tracer::disabled(),
-            client_url: DetMap::new(),
             traces,
             issue_rank: Vec::with_capacity(n_sites),
             registry,
@@ -2114,5 +2083,95 @@ impl ClusterSim {
             conn_evictions: w.fronts[0].conn_table.evictions(),
             window: (from, to),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::params::{ClientRetryParams, ServiceCostModel};
+    use gage_workload::{ArrivalProcess, SyntheticGenerator};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The timing wheel copies a whole `Ev` on every slot move and
+    /// cascade, so its size is paid on every event the wheel moves:
+    /// per-request variants carry a slab handle, fat payloads are boxed.
+    #[test]
+    fn event_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Ev>(), 16);
+    }
+
+    fn site(host: &str, rate: f64, horizon: f64, seed: u64) -> SiteSpec {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut gen = SyntheticGenerator::new(2_000, 1);
+        SiteSpec {
+            host: host.to_string(),
+            reservation: Grps(150.0),
+            trace: Trace::generate(
+                host,
+                ArrivalProcess::Poisson { rate },
+                horizon,
+                &mut gen,
+                &mut rng,
+            ),
+        }
+    }
+
+    /// A crash, a lossy link and a link slower than the client timeout:
+    /// every per-request record is released once the run drains, and a
+    /// response whose attempt a retry superseded counts nowhere.
+    #[test]
+    fn faulted_run_releases_every_request_record() {
+        let params = ClusterParams {
+            rpn_count: 4,
+            service: ServiceCostModel::generic_requests(),
+            client_retry: ClientRetryParams {
+                timeout: SimDuration::from_secs(1),
+                max_retries: 2,
+                backoff: 2.0,
+            },
+            ..Default::default()
+        };
+        let horizon = 10.0;
+        let sites = vec![
+            site("a.example.com", 120.0, horizon, 1),
+            site("b.example.com", 120.0, horizon, 2),
+        ];
+        let mut sim = ClusterSim::new(params, sites, 7);
+        let mut plan = FaultPlan::new(3);
+        plan.crash_for(SimTime::from_secs(3), 1, SimDuration::from_secs(3));
+        // Frames to RPN 2 outlive the 1 s client timeout: each is served
+        // after a retry has already superseded its attempt.
+        plan.link_fault(
+            SimTime::from_secs(2),
+            SimTime::from_secs(5),
+            Some(2),
+            0.2,
+            SimDuration::from_millis(1_500),
+        );
+        sim.apply_fault_plan(&plan);
+        sim.run_until(SimTime::from_secs(60));
+
+        let w = sim.world();
+        assert_eq!(w.attempts.len(), 0, "client attempts left behind");
+        assert_eq!(w.wire.len(), 0, "dispatches left on the wire");
+        for (r, rpn) in w.rpns.iter().enumerate() {
+            assert_eq!(rpn.active.len(), 0, "rpn{r} active requests left");
+        }
+        let mut served = 0;
+        for (i, m) in w.metrics.iter().enumerate() {
+            let offered = m.offered.total() as u64;
+            let resolved = m.served.total() + m.dropped.total() + m.failed.total();
+            assert_eq!(offered, resolved as u64, "sub{i} conservation");
+            served += m.served.total() as u64;
+        }
+        // Superseded attempts were served by the cluster, yet every
+        // request still resolved exactly once at its client.
+        let completed: u64 = w.rpns.iter().map(|r| r.completed_requests).sum();
+        assert!(
+            completed > served,
+            "no superseded response: {completed} completions, {served} served"
+        );
     }
 }

@@ -298,3 +298,51 @@ fn observability_accessors_report_live_state() {
     assert_eq!(sim.world().unknown_host_drops, 0);
     assert!(sim.world().reserved_dispatches + sim.world().spare_dispatches > 0);
 }
+
+/// A request whose Host names another hosted site is classified to (and
+/// scheduled as) that site, but resolves at the client that issued it:
+/// served once, counted against the issuing site, never timed out.
+#[test]
+fn cross_site_host_is_served_once_and_resolved_at_the_issuing_client() {
+    let horizon = 5.0;
+    let poisson = |host: &str, seed: u64| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut gen = SyntheticGenerator::new(2_000, 1);
+        Trace::generate(
+            host,
+            ArrivalProcess::Poisson { rate: 50.0 },
+            horizon,
+            &mut gen,
+            &mut rng,
+        )
+    };
+    let sites = vec![
+        SiteSpec {
+            host: "a.example.com".to_string(),
+            reservation: Grps(50.0),
+            // Every request site a's client issues names site b.
+            trace: poisson("b.example.com", 1),
+        },
+        SiteSpec {
+            host: "b.example.com".to_string(),
+            reservation: Grps(50.0),
+            trace: poisson("b.example.com", 2),
+        },
+    ];
+    let mut sim = ClusterSim::new(generic_params(2), sites, 7);
+    sim.run_until(SimTime::from_secs(200));
+    let w = sim.world();
+    let reg = sim.registry();
+    let mut offered_total = 0;
+    for (i, m) in w.metrics.iter().enumerate() {
+        let offered = m.offered.total() as u64;
+        assert!(offered > 0, "site {i} issued nothing");
+        assert_eq!(m.served.total() as u64, offered, "site {i} served");
+        assert_eq!(m.failed.total() as u64, 0, "site {i} failed");
+        offered_total += offered;
+    }
+    // Site a's traffic is site b's as far as the cluster is concerned,
+    // and no request was served twice behind a client retry.
+    assert_eq!(reg.counter("sub0.dispatched"), Some(0));
+    assert_eq!(reg.counter("sub1.dispatched"), Some(offered_total));
+}

@@ -104,6 +104,21 @@ impl<T> Slab<T> {
         SlabKey { index, gen: 1 }
     }
 
+    /// The key the next [`Slab::insert`] will return, for values that must
+    /// hold (or be scheduled under) their own key before they are stored.
+    pub fn vacant_key(&self) -> SlabKey {
+        match self.free.last() {
+            Some(&index) => SlabKey {
+                index,
+                gen: self.slots[index as usize].gen,
+            },
+            None => SlabKey {
+                index: self.slots.len() as u32,
+                gen: 1,
+            },
+        }
+    }
+
     /// The entry behind `key`, if it is still live.
     #[inline]
     pub fn get(&self, key: SlabKey) -> Option<&T> {
@@ -149,6 +164,11 @@ impl<T> Slab<T> {
         Some(val)
     }
 
+    /// Every live entry, in slot order.
+    pub fn values(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().filter_map(|e| e.val.as_ref())
+    }
+
     /// Removes every entry and invalidates all outstanding keys, keeping
     /// allocated capacity.
     pub fn clear(&mut self) {
@@ -186,6 +206,7 @@ mod tests {
         assert!(!s.contains(a));
         assert!(s.contains(b));
         assert_eq!(s.len(), 1);
+        assert_eq!(s.values().collect::<Vec<_>>(), [&21]);
     }
 
     #[test]
@@ -228,6 +249,21 @@ mod tests {
         assert_eq!(first, run());
         // LIFO: last-freed slot (index 4) comes back first.
         assert_eq!(SlabKey::from_raw(first[0]).index, 4);
+    }
+
+    #[test]
+    fn vacant_key_predicts_the_next_insert() {
+        let mut s = Slab::new();
+        let k = s.vacant_key();
+        assert_eq!(s.insert(1), k);
+        let a = s.insert(2);
+        s.remove(a);
+        let k = s.vacant_key();
+        assert_ne!(k, a, "a reused slot comes back under a new generation");
+        assert_eq!(s.insert(3), k);
+        s.clear();
+        let k = s.vacant_key();
+        assert_eq!(s.insert(4), k);
     }
 
     #[test]
