@@ -3,6 +3,8 @@
 use gage_des::stats::{deviation_pct, BinnedSeries, BusyTracker};
 use gage_des::{SimDuration, SimTime};
 
+use crate::params::InterruptModel;
+
 /// Fine-grained bin used by all time series; averaging intervals and
 /// accounting cycles must be multiples of this (50 ms covers the paper's
 /// whole sweep).
@@ -57,7 +59,7 @@ impl Default for SubscriberMetrics {
     }
 }
 
-/// RDN-side measurement state.
+/// RDN-side measurement state, and the interrupt-cost model it drives.
 #[derive(Debug, Clone)]
 pub struct RdnMetrics {
     /// CPU busy time (all per-operation and interrupt costs).
@@ -66,29 +68,61 @@ pub struct RdnMetrics {
     pub packets: BinnedSeries,
     /// Lifetime packet count.
     pub packet_count: u64,
+    interrupts: InterruptModel,
+    /// The bin `cost_us` was evaluated for (`usize::MAX` before the first
+    /// charge).
+    cost_bin: usize,
+    /// Per-packet interrupt cost in `cost_bin`, µs.
+    cost_us: f64,
 }
 
-impl Default for RdnMetrics {
-    fn default() -> Self {
+impl RdnMetrics {
+    /// Empty metrics for a front end whose packets cost `interrupts`.
+    pub fn new(interrupts: InterruptModel) -> Self {
         RdnMetrics {
             busy: BusyTracker::new(METRIC_BIN),
             packets: BinnedSeries::new(METRIC_BIN),
             packet_count: 0,
+            interrupts,
+            cost_bin: usize::MAX,
+            cost_us: 0.0,
         }
     }
-}
 
-impl RdnMetrics {
     /// Sustained packet rate estimate: packets in the previous full bin
     /// divided by the bin width (0 during the first bin).
     pub fn recent_packet_rate(&self, now: SimTime) -> f64 {
-        let idx = (now.as_nanos() / METRIC_BIN.as_nanos()) as usize;
-        if idx == 0 {
+        self.rate_before(self.packets.bin_of(now))
+    }
+
+    fn rate_before(&self, bin: usize) -> f64 {
+        if bin == 0 {
             return 0.0;
         }
-        let bins = self.packets.bins();
-        let prev = bins.get(idx - 1).copied().unwrap_or(0.0);
+        let prev = self.packets.bins().get(bin - 1).copied().unwrap_or(0.0);
         prev / METRIC_BIN.as_secs_f64()
+    }
+
+    /// Charges the CPU for handling `packets` packets' interrupts plus
+    /// `op_us` of protocol work at `now` — one batched record regardless
+    /// of the packet count.
+    ///
+    /// The per-packet interrupt cost depends only on the previous bin's
+    /// packet count, so it is evaluated once per bin. That is
+    /// bit-identical to evaluating the curve on every charge as long as
+    /// packets are recorded only here, at a non-decreasing `now` (as the
+    /// simulator does): once `now` has left a bin, that bin is final.
+    pub fn charge(&mut self, now: SimTime, packets: u64, op_us: f64) {
+        let bin = self.packets.bin_of(now);
+        if bin != self.cost_bin {
+            self.cost_bin = bin;
+            self.cost_us = self.interrupts.cost_us(self.rate_before(bin));
+        }
+        let int_us = self.cost_us * packets as f64;
+        self.packets.record_bin(bin, packets as f64);
+        self.packet_count += packets;
+        self.busy
+            .add_bin(bin, SimDuration::from_secs_f64((op_us + int_us) / 1e6));
     }
 }
 
@@ -274,7 +308,7 @@ mod tests {
 
     #[test]
     fn recent_packet_rate_uses_previous_bin() {
-        let mut m = RdnMetrics::default();
+        let mut m = RdnMetrics::new(InterruptModel::default());
         for _ in 0..500 {
             m.packets.record(SimTime::from_millis(10), 1.0);
         }
@@ -283,6 +317,67 @@ mod tests {
         // During bin 1, the previous bin had 500 packets / 50 ms = 10k pps.
         let r = m.recent_packet_rate(SimTime::from_millis(60));
         assert!((r - 10_000.0).abs() < 1e-6);
+    }
+
+    /// Drives `RdnMetrics::charge` across many bins (the first bin, idle
+    /// bins, packet rates on both sides of the 49.5 k pps knee) and checks
+    /// every charge against evaluating the interrupt curve per charge, as
+    /// the pre-cache code did: bit-identical busy time and packet bins.
+    #[test]
+    fn cached_interrupt_cost_matches_per_charge_evaluation() {
+        for model in [InterruptModel::default(), InterruptModel::intelligent_nic()] {
+            let mut rng = gage_des::SimRng::seed_from(0x1d);
+            let mut cached = RdnMetrics::new(model);
+            let mut busy = BusyTracker::new(METRIC_BIN);
+            let mut packets = BinnedSeries::new(METRIC_BIN);
+            let bin_ns = METRIC_BIN.as_nanos();
+            for bin in 0..240u64 {
+                // Packets this bin: idle, light, or within ±20 % of the
+                // knee (2,475 packets per 50 ms bin).
+                let budget = match rng.index(5) {
+                    0 => 0,
+                    1 => rng.range_u64(1, 500),
+                    _ => rng.range_u64(1_980, 2_970),
+                };
+                let mut sent = 0;
+                let mut t = bin * bin_ns;
+                while sent < budget {
+                    let n = rng.range_u64(1, 4);
+                    let op_us = [0.0, 55.0, 56.7, 6.0][rng.index(4)];
+                    // Several charges can share an instant.
+                    if rng.chance(0.7) {
+                        t = (t + rng.range_u64(0, 40_000)).min((bin + 1) * bin_ns - 1);
+                    }
+                    let now = SimTime::from_nanos(t);
+                    cached.charge(now, n, op_us);
+                    let idx = packets.bin_of(now);
+                    let rate = match idx {
+                        0 => 0.0,
+                        _ => {
+                            packets.bins().get(idx - 1).copied().unwrap_or(0.0)
+                                / METRIC_BIN.as_secs_f64()
+                        }
+                    };
+                    let int_us = model.cost_us(rate) * n as f64;
+                    packets.record(now, n as f64);
+                    busy.add(now, SimDuration::from_secs_f64((op_us + int_us) / 1e6));
+                    assert_eq!(cached.busy.total_busy(), busy.total_busy(), "bin {bin}");
+                    sent += n;
+                }
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(cached.packets.bins()), bits(packets.bins()));
+            assert_eq!(
+                bits(&cached.busy.per_bin_utilization()),
+                bits(&busy.per_bin_utilization())
+            );
+            assert_eq!(cached.packet_count as f64, packets.total());
+            // The run really crossed the knee (the default model's cost
+            // more than doubled in some bin) and left idle bins.
+            assert!(packets.bins().contains(&0.0));
+            assert!(packets.bins().iter().any(|&p| p > 2_475.0));
+            assert!(packets.bins().iter().any(|&p| p > 0.0 && p < 2_475.0));
+        }
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! exit dynamically (CGI children), and their usage still rolls up to the
 //! entity through the process tree.
 
-use std::collections::BTreeMap;
-
 use gage_core::resource::ResourceVector;
 use gage_core::subscriber::SubscriberId;
 
@@ -46,8 +44,9 @@ struct Process {
 /// let child = pt.spawn_child(worker).unwrap();
 /// pt.charge(child, ResourceVector::new(500.0, 0.0, 100.0));
 /// pt.charge(worker, ResourceVector::new(100.0, 0.0, 0.0));
-/// let usage = pt.rollup();
-/// assert_eq!(usage[&site].cpu_us, 600.0);
+/// let mut usage = Vec::new();
+/// pt.rollup(&mut usage);
+/// assert_eq!(usage[site.0 as usize].cpu_us, 600.0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ProcessTable {
@@ -137,22 +136,28 @@ impl ProcessTable {
     }
 
     /// The accounting-cycle rollup: sums and clears pending usage per
-    /// charging entity (traversing parent links for inherited membership),
-    /// and reaps exited processes' state.
-    pub fn rollup(&mut self) -> BTreeMap<SubscriberId, ResourceVector> {
-        let mut out: BTreeMap<SubscriberId, ResourceVector> = BTreeMap::new();
+    /// charging entity (traversing parent links for inherited membership)
+    /// into `usage`, indexed by subscriber, and reaps exited processes'
+    /// state. `usage` is reset to zero first and grown to the highest
+    /// entity charged, so a caller that keeps it across cycles allocates
+    /// nothing once warm. Each entity's sum runs in process order.
+    pub fn rollup(&mut self, usage: &mut Vec<ResourceVector>) {
+        usage.fill(ResourceVector::ZERO);
         for i in 0..self.processes.len() {
             let pending = self.processes[i].pending;
             if pending == ResourceVector::ZERO {
                 continue;
             }
             if let Some(entity) = self.entity_of(Pid(i as u32)) {
-                *out.entry(entity).or_insert(ResourceVector::ZERO) += pending;
+                let e = entity.0 as usize;
+                if e >= usage.len() {
+                    usage.resize(e + 1, ResourceVector::ZERO);
+                }
+                usage[e] += pending;
             }
             self.processes[i].pending = ResourceVector::ZERO;
         }
         self.reap();
-        out
     }
 
     /// Recycles exited, fully-drained, childless slots. Ordered ascending
@@ -185,6 +190,13 @@ impl ProcessTable {
 mod tests {
     use super::*;
 
+    /// One rollup into a fresh buffer.
+    fn rolled(pt: &mut ProcessTable) -> Vec<ResourceVector> {
+        let mut usage = Vec::new();
+        pt.rollup(&mut usage);
+        usage
+    }
+
     #[test]
     fn deep_tree_rolls_up_to_entity() {
         let mut pt = ProcessTable::new();
@@ -193,8 +205,8 @@ mod tests {
         let c1 = pt.spawn_child(root).unwrap();
         let c2 = pt.spawn_child(c1).unwrap();
         pt.charge(c2, ResourceVector::new(1.0, 2.0, 3.0));
-        let usage = pt.rollup();
-        assert_eq!(usage[&site], ResourceVector::new(1.0, 2.0, 3.0));
+        let usage = rolled(&mut pt);
+        assert_eq!(usage[3], ResourceVector::new(1.0, 2.0, 3.0));
     }
 
     #[test]
@@ -203,8 +215,8 @@ mod tests {
         let site = SubscriberId(0);
         let root = pt.launch_entity_root(site);
         pt.charge(root, ResourceVector::new(5.0, 0.0, 0.0));
-        assert_eq!(pt.rollup()[&site].cpu_us, 5.0);
-        assert!(pt.rollup().is_empty(), "second rollup finds nothing");
+        assert_eq!(rolled(&mut pt)[0].cpu_us, 5.0);
+        assert!(rolled(&mut pt).is_empty(), "second rollup finds nothing");
     }
 
     #[test]
@@ -216,9 +228,9 @@ mod tests {
         let rb = pt.launch_entity_root(b);
         pt.charge(ra, ResourceVector::new(10.0, 0.0, 0.0));
         pt.charge(rb, ResourceVector::new(0.0, 20.0, 0.0));
-        let usage = pt.rollup();
-        assert_eq!(usage[&a].cpu_us, 10.0);
-        assert_eq!(usage[&b].disk_us, 20.0);
+        let usage = rolled(&mut pt);
+        assert_eq!(usage[a.0 as usize].cpu_us, 10.0);
+        assert_eq!(usage[b.0 as usize].disk_us, 20.0);
     }
 
     #[test]
@@ -229,7 +241,7 @@ mod tests {
         let cgi = pt.spawn_child(root).unwrap();
         pt.charge(cgi, ResourceVector::new(7.0, 0.0, 0.0));
         pt.exit(cgi);
-        assert_eq!(pt.rollup()[&site].cpu_us, 7.0);
+        assert_eq!(rolled(&mut pt)[0].cpu_us, 7.0);
         assert_eq!(pt.live_count(), 1);
         assert!(pt.spawn_child(cgi).is_none(), "cannot fork from the dead");
     }
@@ -241,8 +253,9 @@ mod tests {
         let first = pt.spawn_child(worker).unwrap();
         pt.charge(first, ResourceVector::new(10.0, 0.0, 0.0));
         pt.exit(first);
-        let usage = pt.rollup();
-        assert_eq!(usage[&SubscriberId(0)].cpu_us, 10.0);
+        let mut usage = Vec::new();
+        pt.rollup(&mut usage);
+        assert_eq!(usage[0].cpu_us, 10.0);
         // The drained child's slot is reused; the table stays at two slots
         // however many one-shot children cycle through.
         for _ in 0..100 {
@@ -250,7 +263,8 @@ mod tests {
             assert_eq!(child, first, "recycled slot expected");
             pt.charge(child, ResourceVector::new(1.0, 0.0, 0.0));
             pt.exit(child);
-            assert_eq!(pt.rollup()[&SubscriberId(0)].cpu_us, 1.0);
+            pt.rollup(&mut usage);
+            assert_eq!(usage[0].cpu_us, 1.0);
         }
         assert_eq!(pt.live_count(), 1);
     }
@@ -259,6 +273,34 @@ mod tests {
     fn charge_to_unknown_pid_is_ignored() {
         let mut pt = ProcessTable::new();
         pt.charge(Pid(42), ResourceVector::new(1.0, 1.0, 1.0));
-        assert!(pt.rollup().is_empty());
+        assert!(rolled(&mut pt).is_empty());
+    }
+
+    #[test]
+    fn reused_buffer_is_zeroed_before_each_rollup() {
+        let mut pt = ProcessTable::new();
+        let a = pt.launch_entity_root(SubscriberId(0));
+        let b = pt.launch_entity_root(SubscriberId(2));
+        let mut usage = Vec::new();
+        pt.charge(b, ResourceVector::new(3.0, 0.0, 0.0));
+        pt.rollup(&mut usage);
+        assert_eq!(
+            usage,
+            vec![
+                ResourceVector::ZERO,
+                ResourceVector::ZERO,
+                ResourceVector::new(3.0, 0.0, 0.0)
+            ]
+        );
+        pt.charge(a, ResourceVector::new(1.0, 0.0, 0.0));
+        pt.rollup(&mut usage);
+        assert_eq!(
+            usage,
+            vec![
+                ResourceVector::new(1.0, 0.0, 0.0),
+                ResourceVector::ZERO,
+                ResourceVector::ZERO
+            ]
+        );
     }
 }

@@ -201,6 +201,34 @@ struct DispatchMeta {
     rdn_epoch: u32,
 }
 
+/// Message payloads in flight, addressed from an [`Ev`] by `SlabKey`.
+/// Delivery hands a payload's row buffer back to `spare` and the next
+/// send reuses it, so once warm the accounting path allocates nothing.
+#[derive(Debug)]
+struct InFlight<P, R> {
+    live: Slab<P>,
+    spare: Vec<Vec<R>>,
+}
+
+impl<P, R> InFlight<P, R> {
+    fn new() -> Self {
+        InFlight {
+            live: Slab::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// An empty row buffer, recycled when one is spare.
+    fn buffer(&mut self) -> Vec<R> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    fn recycle(&mut self, mut rows: Vec<R>) {
+        rows.clear();
+        self.spare.push(rows);
+    }
+}
+
 /// Cluster events (public only because [`World`] implements
 /// [`Model<Event = Ev>`]; not part of the supported API).
 #[doc(hidden)]
@@ -228,14 +256,11 @@ pub enum Ev {
     SchedTick,
     /// An RPN's accounting-cycle tick (valid only in its boot `epoch`).
     AcctTick { rpn: u16, epoch: u32 },
-    /// An accounting report reaches front end `to_rdn`. Boxed because
-    /// every wheel slot move copies a whole `Ev`: reports are one event
-    /// per accounting cycle per front, but their inline size would tax
-    /// every event the wheel moves.
-    Report {
-        to_rdn: u16,
-        report: Box<UsageReport>,
-    },
+    /// An accounting report reaches front end `to_rdn`; `report` keys
+    /// it in [`World`]'s in-flight reports. Inline, a report would make
+    /// every event the wheel moves several times larger; as a key it
+    /// also keeps its row buffer for reuse.
+    Report { to_rdn: u16, report: SlabKey },
     /// Fail-stop crash of an RPN (fault injection).
     CrashRpn { rpn: u16 },
     /// Reboot of a crashed RPN (fault injection).
@@ -247,12 +272,9 @@ pub enum Ev {
     /// Front end `rdn`'s accounting-gossip timer (valid only in its boot
     /// `epoch`; never scheduled with a single RDN).
     GossipTick { rdn: u16, epoch: u32 },
-    /// A gossiped accounting-table snapshot reaches front end `to`.
-    GossipArrive {
-        to: u16,
-        from: u16,
-        rows: Box<Vec<AcctRow>>,
-    },
+    /// A gossiped accounting-table snapshot reaches front end `to`;
+    /// `rows` keys it in [`World`]'s in-flight gossip.
+    GossipArrive { to: u16, from: u16, rows: SlabKey },
 }
 
 /// An in-service request on an RPN.
@@ -493,6 +515,10 @@ pub struct World {
     client_issued: Vec<u64>,
     /// Dispatches in flight on the RDN→RPN wire.
     wire: Slab<DispatchMeta>,
+    /// Accounting reports in flight, RPN → front end.
+    reports: InFlight<UsageReport, SubscriberUsage>,
+    /// Gossiped accounting-table snapshots in flight between fronts.
+    gossip: InFlight<Vec<AcctRow>, AcctRow>,
     rr_next: usize,
     isn_counter: u32,
     /// Next run-wide logical request id. Assigned unconditionally at issue
@@ -531,6 +557,10 @@ pub struct World {
     /// Reused scratch buffer for the 10 ms scheduler tick, so the steady
     /// state allocates no dispatch `Vec` per cycle.
     dispatch_buf: Vec<gage_core::scheduler::Dispatch<PendingRequest>>,
+    /// Reused per-subscriber usage buffer for an RPN's accounting rollup.
+    rollup_buf: Vec<ResourceVector>,
+    /// Reused accounting-table snapshot for a front's gossip tick.
+    rows_buf: Vec<AcctRow>,
     /// Scheduling ticks handled so far (drives the periodic queue-stats
     /// trace record).
     sched_ticks: u64,
@@ -579,19 +609,6 @@ impl World {
         }
         scheduler.set_tracer(self.tracer.clone());
         scheduler
-    }
-
-    /// Charges front end `rdn`'s CPU for handling `packets` packets'
-    /// interrupts plus `op_us` of protocol work at `now` — one batched
-    /// record regardless of the packet count.
-    fn charge_rdn(&mut self, rdn: usize, now: SimTime, packets: u64, op_us: f64) {
-        let m = &mut self.fronts[rdn].metrics;
-        let rate = m.recent_packet_rate(now);
-        let int_us = self.params.interrupts.cost_us(rate) * packets as f64;
-        m.packets.record(now, packets as f64);
-        m.packet_count += packets;
-        m.busy
-            .add(now, SimDuration::from_secs_f64((op_us + int_us) / 1e6));
     }
 
     // ---- client ----
@@ -707,7 +724,7 @@ impl World {
     /// packet and RSTs the connection so the client resolves `attempt` as
     /// dropped.
     fn refuse(&mut self, ctx: &mut Context<'_, Ev>, rdn: usize, attempt: SlabKey) {
-        self.charge_rdn(rdn, ctx.now(), 1, 0.0);
+        self.fronts[rdn].metrics.charge(ctx.now(), 1, 0.0);
         let hop = self.hop();
         ctx.schedule_in(hop, Ev::ClientRst { attempt });
     }
@@ -751,9 +768,11 @@ impl World {
         // front-end cluster the setup CPU work moves to a secondary RDN;
         // the primary still sees the packets.
         if self.secondary_busy.is_empty() {
-            self.charge_rdn(rdn, ctx.now(), 2, self.params.rdn_costs.conn_setup_us);
+            self.fronts[rdn]
+                .metrics
+                .charge(ctx.now(), 2, self.params.rdn_costs.conn_setup_us);
         } else {
-            self.charge_rdn(rdn, ctx.now(), 2, 0.0);
+            self.fronts[rdn].metrics.charge(ctx.now(), 2, 0.0);
             let i = self.secondary_rr % self.secondary_busy.len();
             self.secondary_rr += 1;
             self.secondary_busy[i].add(
@@ -764,7 +783,9 @@ impl World {
         self.isn_counter = self.isn_counter.wrapping_add(88_651);
         let rdn_isn = SeqNum::new(self.isn_counter);
         // The handshake ACK and the URL packet itself, classified at 3 µs.
-        self.charge_rdn(rdn, ctx.now(), 2, self.params.rdn_costs.classification_us);
+        self.fronts[rdn]
+            .metrics
+            .charge(ctx.now(), 2, self.params.rdn_costs.classification_us);
         let Some(sub_id) = classified else {
             self.unknown_host_drops += 1;
             // Still terminate the connection: the issuing client resolves
@@ -811,7 +832,9 @@ impl World {
                 rpn_mac: self.rpns[rpn.0 as usize].mac,
             },
         );
-        self.charge_rdn(rdn, ctx.now(), 1, self.params.rdn_costs.forwarding_us);
+        self.fronts[rdn]
+            .metrics
+            .charge(ctx.now(), 1, self.params.rdn_costs.forwarding_us);
         let wait_ms = ctx.now().saturating_since(req.enqueued_at).as_secs_f64() * 1e3;
         self.metrics[sub.0 as usize].queue_wait_ms.observe(wait_ms);
         let meta = DispatchMeta {
@@ -906,15 +929,14 @@ impl World {
             self.dispatch_buf = dispatches;
         }
         self.sched_ticks += 1;
-        // Every 64th cycle, snapshot the DES queue's operational counters
-        // into the trace so tracedump --stats can plot queue health.
+        // Every 64th cycle, snapshot the DES queue's depth and lifetime
+        // schedule/cancel counts into the trace.
         if self.sched_ticks % 64 == 1 && self.tracer.is_enabled() {
             let s = ctx.queue_stats();
             self.tracer.emit(TraceEvent::QueueStats {
                 depth: s.depth as u32,
                 scheduled: s.scheduled,
                 cancelled: s.cancelled,
-                cascades: s.cascades,
             });
         }
         ctx.schedule_in(SimDuration::from_secs_f64(cycle), Ev::SchedTick);
@@ -992,7 +1014,7 @@ impl World {
         });
     }
 
-    fn on_report(&mut self, ctx: &mut Context<'_, Ev>, to_rdn: u16, report: UsageReport) {
+    fn on_report(&mut self, ctx: &mut Context<'_, Ev>, to_rdn: u16, report: &UsageReport) {
         let f = to_rdn as usize;
         if self.dead_rdns[f] {
             return; // addressed to a front that died while it was in flight
@@ -1023,7 +1045,7 @@ impl World {
             }
         }
         let front = &mut self.fronts[f];
-        front.scheduler.on_report(&report);
+        front.scheduler.on_report(report);
         // Fold the report into this front's own accounting rows (it is
         // the single writer of origin `f`); gossip carries them to peers.
         for line in &report.per_subscriber {
@@ -1062,7 +1084,8 @@ impl World {
         if self.dead_rdns[f] || self.fronts[f].epoch != epoch {
             return; // a previous life's chain; recovery armed a fresh one
         }
-        let rows = self.fronts[f].acct.rows();
+        let mut rows = std::mem::take(&mut self.rows_buf);
+        self.fronts[f].acct.rows_into(&mut rows);
         let hop = self.hop();
         for peer in 0..self.fronts.len() as u16 {
             if peer == rdn {
@@ -1083,16 +1106,20 @@ impl World {
                 rows: rows.len() as u32,
             });
             if !lost {
+                let mut copy = self.gossip.buffer();
+                copy.extend_from_slice(&rows);
+                let key = self.gossip.live.insert(copy);
                 ctx.schedule_in(
                     delay,
                     Ev::GossipArrive {
                         to: peer,
                         from: rdn,
-                        rows: Box::new(rows.clone()),
+                        rows: key,
                     },
                 );
             }
         }
+        self.rows_buf = rows;
         ctx.schedule_in(self.params.accounting_cycle, Ev::GossipTick { rdn, epoch });
     }
 
@@ -1273,8 +1300,7 @@ impl World {
         let f = req.rdn as usize;
         if !self.dead_rdns[f] && self.fronts[f].epoch == req.rdn_epoch {
             let (_data_pkts, ack_pkts) = response_packet_counts(&self.params.network, req.size);
-            self.charge_rdn(
-                f,
+            self.fronts[f].metrics.charge(
                 ctx.now(),
                 ack_pkts + 1,
                 self.params.rdn_costs.forwarding_us * (ack_pkts + 1) as f64,
@@ -1300,18 +1326,19 @@ impl World {
         // booked itself. A front with no owned activity still gets an
         // empty report — the heartbeat its watchdog runs on.
         let hop = self.hop();
-        let rollup = self.rpns[idx].processes.rollup();
+        let mut rollup = std::mem::take(&mut self.rollup_buf);
+        self.rpns[idx].processes.rollup(&mut rollup);
         let total = std::mem::replace(&mut self.rpns[idx].total_cycle_usage, ResourceVector::ZERO);
         for dest in 0..self.fronts.len() {
             let rpn = &mut self.rpns[idx];
-            let mut per_subscriber = Vec::new();
+            let mut per_subscriber = self.reports.buffer();
             for (i, acc) in rpn.cycle.iter_mut().enumerate() {
                 // `owner_rdn`, inlined: `rpn` holds `self` mutably.
                 if self.shard_owner[self.sub_shard[i] as usize] as usize != dest {
                     continue;
                 }
                 let sub = SubscriberId(i as u32);
-                let actual = rollup.get(&sub).copied().unwrap_or(ResourceVector::ZERO);
+                let actual = rollup.get(i).copied().unwrap_or(ResourceVector::ZERO);
                 if acc.completed == 0 && actual == ResourceVector::ZERO {
                     continue;
                 }
@@ -1344,20 +1371,23 @@ impl World {
                     p > 0.0 && ctx.rng().chance(p)
                 }
             };
-            if lost {
-                self.lost_reports += 1;
-            } else if !self.dead_rdns[dest] {
+            if lost || self.dead_rdns[dest] {
                 // A report to a dead front vanishes on the wire; it is
                 // not an injected loss, so it is not counted as one.
+                self.lost_reports += u64::from(lost);
+                self.reports.recycle(report.per_subscriber);
+            } else {
+                let key = self.reports.live.insert(report);
                 ctx.schedule_in(
                     hop,
                     Ev::Report {
                         to_rdn: dest as u16,
-                        report: Box::new(report),
+                        report: key,
                     },
                 );
             }
         }
+        self.rollup_buf = rollup;
         // Each node's periodic timer runs on its own crystal: a fixed skew
         // of a few hundred ppm. Reports therefore stay clustered across the
         // cluster (the nodes started together) while the cluster-wide phase
@@ -1593,7 +1623,12 @@ impl Model for World {
             Ev::ClientTimeout { attempt } => self.on_client_timeout(ctx, attempt),
             Ev::SchedTick => self.on_sched_tick(ctx),
             Ev::AcctTick { rpn, epoch } => self.on_acct_tick(ctx, rpn, epoch),
-            Ev::Report { to_rdn, report } => self.on_report(ctx, to_rdn, *report),
+            Ev::Report { to_rdn, report } => {
+                if let Some(report) = self.reports.live.remove(report) {
+                    self.on_report(ctx, to_rdn, &report);
+                    self.reports.recycle(report.per_subscriber);
+                }
+            }
             // Fail-stop: the node vanishes. The RDN only learns of it when
             // the report watchdog fires; until then dispatches bounce off
             // the dead node and are re-queued.
@@ -1604,7 +1639,12 @@ impl Model for World {
             Ev::CrashRdn { rdn } => self.on_rdn_crash(ctx.now(), rdn),
             Ev::RecoverRdn { rdn } => self.on_rdn_recover(ctx, rdn),
             Ev::GossipTick { rdn, epoch } => self.on_gossip_tick(ctx, rdn, epoch),
-            Ev::GossipArrive { to, from, rows } => self.on_gossip_arrive(to, from, &rows),
+            Ev::GossipArrive { to, from, rows } => {
+                if let Some(rows) = self.gossip.live.remove(rows) {
+                    self.on_gossip_arrive(to, from, &rows);
+                    self.gossip.recycle(rows);
+                }
+            }
         }
     }
 }
@@ -1677,7 +1717,7 @@ impl ClusterSim {
             fronts.push(RdnFront {
                 scheduler,
                 conn_table: ConnTable::new(),
-                metrics: RdnMetrics::default(),
+                metrics: RdnMetrics::new(params.interrupts),
                 last_report: vec![SimTime::ZERO; params.rpn_count],
                 acct: AcctTable::new(),
                 epoch: 0,
@@ -1728,6 +1768,8 @@ impl ClusterSim {
             attempts: Slab::new(),
             client_issued: vec![0; n_sites],
             wire: Slab::new(),
+            reports: InFlight::new(),
+            gossip: InFlight::new(),
             rr_next: 0,
             isn_counter: 1,
             next_req: 0,
@@ -1748,6 +1790,8 @@ impl ClusterSim {
             lost_reports: 0,
             faults: FaultState::inactive(),
             dispatch_buf: Vec::new(),
+            rollup_buf: Vec::new(),
+            rows_buf: Vec::new(),
             sched_ticks: 0,
             last_event_at: SimTime::ZERO,
             tracer: Tracer::disabled(),

@@ -185,13 +185,23 @@ impl AcctTable {
     /// a gossip payload and for convergence equality checks.
     #[must_use]
     pub fn rows(&self) -> Vec<AcctRow> {
-        let mut out: Vec<AcctRow> = self
-            .cells
-            .iter()
-            .map(|(k, v)| ((k >> 32) as u16, *k as u32, *v))
-            .collect();
-        out.sort_by_key(|(origin, sub, _)| (u64::from(*origin) << 32) | u64::from(*sub));
+        let mut out = Vec::new();
+        self.rows_into(&mut out);
         out
+    }
+
+    /// [`rows`](Self::rows) into `out`, replacing its contents: a caller
+    /// that keeps the buffer across snapshots allocates nothing once warm.
+    pub fn rows_into(&self, out: &mut Vec<AcctRow>) {
+        out.clear();
+        out.extend(
+            self.cells
+                .iter()
+                .map(|(k, v)| ((k >> 32) as u16, *k as u32, *v)),
+        );
+        // Keys are unique, so the unstable sort (which needs no scratch
+        // buffer) yields exactly the stable order.
+        out.sort_unstable_by_key(|(origin, sub, _)| key(*origin, *sub));
     }
 
     /// This table's row for `(origin, sub)`, if any.
@@ -318,6 +328,20 @@ mod tests {
         assert_eq!(a.merge_rows(&rows_b), 0);
         assert_eq!(a.merge_rows(&rows_a), 0);
         assert_eq!(a.total_completed(1), 3);
+    }
+
+    #[test]
+    fn rows_into_replaces_a_reused_buffer_in_key_order() {
+        let mut t = AcctTable::new();
+        // Inserted out of key order, across origins.
+        for (origin, sub) in [(2, 1), (0, 9), (1, 3), (0, 2), (2, 0)] {
+            t.accumulate(origin, sub, 1, delta(10, 1.0, 1));
+        }
+        let mut buf = vec![(7, 7, cell(9, 9, 9.0, 9)); 8];
+        t.rows_into(&mut buf);
+        let keys: Vec<(u16, u32)> = buf.iter().map(|r| (r.0, r.1)).collect();
+        assert_eq!(keys, vec![(0, 2), (0, 9), (1, 3), (2, 0), (2, 1)]);
+        assert_eq!(buf, t.rows());
     }
 
     /// Satellite: any permutation + duplication + dropped-prefix of a

@@ -30,7 +30,7 @@ pub struct ScheduledEvent<E> {
 /// FIFO tie-breaking and O(1) cancellation.
 ///
 /// Backed by a hierarchical timing wheel (see [`crate::wheel`]): the fine
-/// level buckets ~1 µs of virtual time, coarse levels cover 64× each, and
+/// level buckets ~65 µs of virtual time, coarse levels cover 64× each, and
 /// far-future events cascade down as the clock approaches them. Pop order
 /// is exactly `(at, schedule order)` — byte-identical to the previous
 /// `BinaryHeap` implementation, including the handles it returns — but

@@ -54,3 +54,7 @@ pub use event::{EventId, EventQueue, ScheduledEvent};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use wheel::QueueStats;
+/// The timing wheel's per-level slot shifts, for tests that place events
+/// on level boundaries.
+#[doc(hidden)]
+pub use wheel::SHIFTS as WHEEL_SHIFTS;

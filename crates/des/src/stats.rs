@@ -48,9 +48,19 @@ impl BinnedSeries {
         self.bin_width
     }
 
+    /// Index of the bin containing instant `t`.
+    pub fn bin_of(&self, t: SimTime) -> usize {
+        (t.as_nanos() / self.bin_width.as_nanos()) as usize
+    }
+
     /// Adds `value` to the bin containing instant `t`.
     pub fn record(&mut self, t: SimTime, value: f64) {
-        let idx = (t.as_nanos() / self.bin_width.as_nanos()) as usize;
+        self.record_bin(self.bin_of(t), value);
+    }
+
+    /// Adds `value` to bin `idx` — [`record`](Self::record) for a caller
+    /// that already holds the bin index from [`bin_of`](Self::bin_of).
+    pub fn record_bin(&mut self, idx: usize, value: f64) {
         if idx >= self.bins.len() {
             self.bins.resize(idx + 1, 0.0);
         }
@@ -174,9 +184,15 @@ impl BusyTracker {
     ///
     /// The charge is attributed entirely to `t`'s bin, which is accurate as
     /// long as individual work items are much shorter than the bin width
-    /// (true here: µs-scale work vs. ≥100 ms bins).
+    /// (true of the cluster model: µs-scale RDN work vs. 50 ms bins).
     pub fn add(&mut self, t: SimTime, busy: SimDuration) {
-        self.series.record(t, busy.as_secs_f64());
+        self.add_bin(self.series.bin_of(t), busy);
+    }
+
+    /// Charges `busy` of work to bin `idx` — [`add`](Self::add) for a
+    /// caller that already holds the bin index.
+    pub fn add_bin(&mut self, idx: usize, busy: SimDuration) {
+        self.series.record_bin(idx, busy.as_secs_f64());
         self.total_busy += busy;
     }
 

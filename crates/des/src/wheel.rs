@@ -1,11 +1,13 @@
 //! Hierarchical timing wheel backing the [`EventQueue`](crate::EventQueue).
 //!
 //! Six levels of 64 slots each cover the nanosecond clock: level 0 buckets
-//! 2^10 ns (~1 µs, fine enough that the 10 ms scheduling cycle spans ~9.8 k
-//! fine slots), and each coarser level covers 64× the span of the one below
-//! (shifts 10/16/22/28/34/40, top span ≈ 19.5 h). Events beyond the top
-//! level park in an overflow list and redistribute when the clock nears
-//! them.
+//! 2^16 ns (~65 µs) and spans ~4.2 ms, and each coarser level covers 64×
+//! the span of the one below (shifts 16/22/28/34/40/46: level 1 spans
+//! ~268 ms, level 2 ~17 s, the top level ≈ 52 days). The geometry follows
+//! the cluster model's own delays (see [`SHIFTS`]): a per-request hop or
+//! handshake is placed straight into level 0, and the periodic cycles park
+//! one level up and cascade once. Events beyond the top level park in an
+//! overflow list and redistribute when the clock nears them.
 //!
 //! Determinism contract (the reason this exists instead of `BinaryHeap`):
 //!
@@ -46,7 +48,25 @@ const SLOT_MASK: u64 = 63;
 /// Bit shift from nanoseconds to slot index, per level. Adjacent levels
 /// differ by exactly 6 bits (= log2 SLOTS), which is what guarantees a
 /// cascading event always lands at a strictly finer level.
-const SHIFTS: [u32; LEVELS] = [10, 16, 22, 28, 34, 40];
+///
+/// A wheel is cheap only when level 0 spans the common timer intervals:
+/// an event placed there is drained without ever cascading. The cluster
+/// model's delays set the geometry:
+///
+/// * a level-0 slot (2^16 ns ≈ 65 µs) stays below the 100 µs hop, so a
+///   drained slot holds less than one hop's worth of events to sort;
+/// * level 0 (≈ 4.2 ms) covers the per-request delays — the hop and the
+///   300 µs three-hop handshake — so they never cascade;
+/// * level 1 (≈ 268 ms) covers both periodic cycles, the 10 ms
+///   scheduling tick and the 100 ms accounting tick, so each cascades
+///   exactly once.
+///
+/// Measured cascades per simulated second, perfbench `--seconds 1
+/// --trace 1 --seed 7`: `regime` 2,422 with level-0 shift 10 (65 µs
+/// span: nearly every event parked at level 1), 603 with shift 14, 218
+/// with this geometry; `sharded` 5,720 / 917 / 238.
+#[doc(hidden)]
+pub const SHIFTS: [u32; LEVELS] = [16, 22, 28, 34, 40, 46];
 /// Span of one level-0 slot in nanoseconds.
 const GRANULARITY: u64 = 1 << SHIFTS[0];
 
@@ -417,28 +437,73 @@ mod tests {
         std::iter::from_fn(|| w.pop().map(|(at, _, ev)| (at, ev))).collect()
     }
 
+    /// The level whose slots hold the entry firing at `at` (`LEVELS` for
+    /// the overflow list), or `None` if no stored slot holds it.
+    fn level_of(w: &TimingWheel<u64>, at: u64) -> Option<usize> {
+        if w.overflow.iter().any(|e| e.at == at) {
+            return Some(LEVELS);
+        }
+        w.levels
+            .iter()
+            .position(|l| l.slots.iter().flatten().any(|e| e.at == at))
+    }
+
     #[test]
     fn multi_level_placement_and_cascade() {
         let mut w = TimingWheel::new();
-        // One event per level span, plus one in overflow (beyond 2^46 ns).
-        let times = [
-            1u64 << 9, // level 0
-            1 << 15,   // level 1
-            1 << 21,   // level 2
-            1 << 27,   // level 3
-            1 << 33,   // level 4
-            1 << 39,   // level 5
-            1 << 45,   // level 5 (top span)
-            1 << 50,   // overflow
-        ];
-        for (i, &t) in times.iter().enumerate() {
+        // From the cursor at 0: one event 32 slots into each level (past
+        // the 64-slot span of the level below), one at the very end of the
+        // top span, and one just beyond it, in overflow.
+        let top = SHIFTS[LEVELS - 1] + 6;
+        let mut times: Vec<(u64, usize)> = SHIFTS
+            .iter()
+            .enumerate()
+            .map(|(l, &shift)| (1u64 << (shift + 5), l))
+            .collect();
+        times.push(((1 << top) - 1, LEVELS - 1));
+        times.push((1 << top, LEVELS));
+        for (i, &(t, _)) in times.iter().enumerate() {
             w.schedule(t, i as u64);
         }
-        assert!(!w.overflow.is_empty(), "far event must park in overflow");
+        for &(t, level) in &times {
+            assert_eq!(level_of(&w, t), Some(level), "event at {t} ns");
+        }
         let popped = drain(&mut w);
         let ats: Vec<u64> = popped.iter().map(|&(at, _)| at).collect();
-        assert_eq!(ats, times.to_vec(), "cascades must preserve time order");
+        let want: Vec<u64> = times.iter().map(|&(t, _)| t).collect();
+        assert_eq!(ats, want, "cascades must preserve time order");
         assert!(w.stats().cascades > 0);
+    }
+
+    /// The geometry's reason: the cluster model's per-request delays (a
+    /// 100 µs hop, the 300 µs three-hop handshake) land at level 0 and so
+    /// never cascade; the 10 ms scheduling and 100 ms accounting cycles
+    /// park at level 1 and cascade once each.
+    #[test]
+    fn model_delays_place_at_the_level_that_drains_them() {
+        let mut w = TimingWheel::new();
+        // Move the cursor to a point that is not slot-aligned.
+        let now = 7_777_777;
+        w.schedule(now, 0);
+        assert_eq!(w.pop().map(|(at, _, _)| at), Some(now));
+        let before = w.stats().cascades;
+        let hop = now + 100_000;
+        let handshake = now + 300_000;
+        let cycle = now + 10_000_000;
+        let acct = now + 100_000_000;
+        w.schedule(hop, 1);
+        w.schedule(handshake, 2);
+        w.schedule(cycle, 3);
+        w.schedule(acct, 4);
+        assert_eq!(level_of(&w, hop), Some(0));
+        assert_eq!(level_of(&w, handshake), Some(0));
+        assert_eq!(level_of(&w, cycle), Some(1));
+        assert_eq!(level_of(&w, acct), Some(1));
+        assert_eq!(
+            drain(&mut w),
+            vec![(hop, 1), (handshake, 2), (cycle, 3), (acct, 4)]
+        );
+        assert_eq!(w.stats().cascades - before, 2, "only the cycles cascade");
     }
 
     #[test]
@@ -485,24 +550,36 @@ mod tests {
     #[test]
     fn coarse_slot_cascades_before_a_fine_slot_with_the_same_start() {
         let mut w = TimingWheel::new();
+        let fine = 1u64 << SHIFTS[0];
+        let coarse = 1u64 << SHIFTS[1];
         // 64 fine slots ahead of the cursor: parked at level 1, in the
-        // first fine window [65_536, 66_560) of level-1 slot 1.
-        w.schedule(65_550, 1);
-        w.schedule(40_000, 0);
-        assert_eq!(w.pop().map(|(at, _, e)| (at, e)), Some((40_000, 0)));
+        // first fine window [coarse, coarse + fine) of level-1 slot 1.
+        let parked = coarse + 14;
+        let early = coarse / 8 * 5;
+        w.schedule(parked, 1);
+        w.schedule(early, 0);
+        assert_eq!(level_of(&w, parked), Some(1));
+        assert_eq!(level_of(&w, early), Some(0));
+        assert_eq!(w.pop().map(|(at, _, e)| (at, e)), Some((early, 0)));
         // The cursor moved on, so the same window now fits level 0: both
-        // levels hold a slot starting at 65_536.
-        w.schedule(65_600, 2);
-        assert_eq!(drain(&mut w), vec![(65_550, 1), (65_600, 2)]);
+        // levels hold a slot starting at `coarse`.
+        let late = coarse + 64;
+        assert!(late < coarse + fine);
+        w.schedule(late, 2);
+        assert_eq!(level_of(&w, late), Some(0));
+        assert_eq!(level_of(&w, parked), Some(1));
+        assert_eq!(drain(&mut w), vec![(parked, 1), (late, 2)]);
     }
 
     #[test]
     fn overflow_redistributes_when_clock_catches_up() {
         let mut w = TimingWheel::new();
-        let far = 1u64 << 50;
+        // Just beyond the top level's span from the cursor at 0.
+        let far = 1u64 << (SHIFTS[LEVELS - 1] + 6);
         w.schedule(far, 1);
         w.schedule(far + 5, 2);
         w.schedule(3, 0);
+        assert_eq!(level_of(&w, far), Some(LEVELS));
         let popped = drain(&mut w);
         assert_eq!(popped, vec![(3, 0), (far, 1), (far + 5, 2)]);
         assert!(w.overflow.is_empty());
@@ -512,9 +589,10 @@ mod tests {
     fn compaction_prunes_all_stores() {
         let mut w = TimingWheel::new();
         let mut keys = Vec::new();
+        // Spread across levels and overflow (4× the top span).
+        let horizon = 1u64 << (SHIFTS[LEVELS - 1] + 8);
         for i in 0..5_000u64 {
-            // Spread across levels and overflow.
-            keys.push(w.schedule(i * 1_000_003 % (1 << 48), i));
+            keys.push(w.schedule(i * 1_000_003 % horizon, i));
         }
         for k in keys {
             assert!(w.cancel(k));

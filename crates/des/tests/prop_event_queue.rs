@@ -13,7 +13,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use gage_collections::{Slab, SlabKey};
-use gage_des::{EventQueue, SimDuration, SimTime};
+use gage_des::{EventQueue, SimDuration, SimTime, WHEEL_SHIFTS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -260,7 +260,7 @@ fn wheel_matches_heap_model_on_interleavings() {
 }
 
 /// Far-future events that must cascade through multiple wheel levels
-/// (horizon up to ~4.5 hours spans all six levels plus overflow).
+/// (a 2^54 ns horizon, ~208 days, spans all six levels plus overflow).
 #[test]
 fn wheel_matches_heap_model_across_level_cascades() {
     for seed in [0x71, 0x72] {
@@ -286,13 +286,14 @@ struct Chain {
     rank: u64,
 }
 
-/// A time inside the first fine (1,024 ns) window of one of the next two
-/// level-1 (65,536 ns) wheel slots after `t`. Such a window can be held by
-/// a level-1 slot and a level-0 slot at once — events scheduled while the
-/// cursor was further away park at level 1, later ones at level 0 — and
-/// both slots then start at the same instant.
+/// A time inside the first fine (level-0) window of one of the next two
+/// level-1 wheel slots after `t`. Such a window can be held by a level-1
+/// slot and a level-0 slot at once — events scheduled while the cursor was
+/// further away park at level 1, later ones at level 0 — and both slots
+/// then start at the same instant.
 fn level_edge(rng: &mut StdRng, t: u64) -> u64 {
-    ((t >> 16) + rng.gen_range(1..3u64)) << 16 | rng.gen_range(0..1_024u64)
+    let (fine, coarse) = (WHEEL_SHIFTS[0], WHEEL_SHIFTS[1]);
+    ((t >> coarse) + rng.gen_range(1..3u64)) << coarse | rng.gen_range(0..1u64 << fine)
 }
 
 /// After `popped` fires, queues its chain's next element (if any) under

@@ -223,9 +223,11 @@ pub enum TraceEvent {
         /// The RDN shard the subscriber is homed on (0 with one RDN).
         shard: u16,
     },
-    /// Periodic snapshot of the DES event queue's operational counters
-    /// (emitted every 64th scheduling cycle), so `tracedump --stats` can
-    /// plot queue health over a run.
+    /// Periodic snapshot of the DES event queue's depth and lifetime
+    /// counts (emitted every 64th scheduling cycle). Counts that depend
+    /// on the queue's internal layout, such as timing-wheel cascades, are
+    /// left to the metrics registry (`des.wheel_cascades`), so the dump's
+    /// bytes depend only on the events the model scheduled.
     QueueStats {
         /// Events pending in the queue at the snapshot.
         depth: u32,
@@ -233,8 +235,6 @@ pub enum TraceEvent {
         scheduled: u64,
         /// Lifetime events cancelled before firing.
         cancelled: u64,
-        /// Lifetime timing-wheel level cascades.
-        cascades: u64,
     },
     /// A fault plan fail-stopped a front-end RDN: its scheduler state,
     /// connection routes and accounting epoch are lost; its subscriber
@@ -612,12 +612,10 @@ impl TraceEvent {
                 depth,
                 scheduled,
                 cancelled,
-                cascades,
             } => vec![
                 ("depth", Json::from(depth)),
                 ("scheduled", Json::from(scheduled)),
                 ("cancelled", Json::from(cancelled)),
-                ("cascades", Json::from(cascades)),
             ],
             TraceEvent::RdnCrash { rdn } | TraceEvent::RdnRecover { rdn } => {
                 vec![("rdn", Json::from(rdn))]
@@ -988,7 +986,6 @@ mod tests {
                 depth: 120,
                 scheduled: 10_000,
                 cancelled: 321,
-                cascades: 42,
             },
             TraceEvent::RdnCrash { rdn: 1 },
             TraceEvent::RdnRecover { rdn: 1 },
