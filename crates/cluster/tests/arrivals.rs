@@ -6,7 +6,7 @@ use gage_cluster::params::{ClusterParams, ServiceCostModel};
 use gage_cluster::sim::{ClusterSim, SiteSpec};
 use gage_core::resource::Grps;
 use gage_des::SimTime;
-use gage_json::Json;
+use gage_obs::{TraceEvent, TraceRecord};
 use gage_workload::{ArrivalProcess, SyntheticGenerator, Trace, TraceEntry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -102,14 +102,6 @@ fn shuffled_trace_replays_like_its_sorted_copy() {
     );
 }
 
-fn field(r: &Json, key: &str) -> Option<u64> {
-    r.get(key).and_then(Json::as_u64)
-}
-
-fn kind(r: &Json) -> &str {
-    r.get("kind").and_then(Json::as_str).unwrap_or("")
-}
-
 /// Site 0 sends two requests at every fifth tick instant, one otherwise.
 fn doubled_at(sub: u64, k: u64) -> bool {
     sub == 0 && k.is_multiple_of(5)
@@ -148,14 +140,13 @@ fn arrivals_on_a_tick_instant_precede_the_tick_in_site_order() {
     let mut checked = 0;
     for k in 1..=100u64 {
         let t = k * 10_000_000;
-        let at_t: Vec<&Json> = records
+        let at_t: Vec<&TraceRecord> = records.iter().filter(|r| r.at.as_nanos() == t).collect();
+        let arrivals: Vec<u32> = at_t
             .iter()
-            .filter(|r| field(r, "t_ns") == Some(t))
-            .collect();
-        let arrivals: Vec<u64> = at_t
-            .iter()
-            .filter(|r| kind(r) == "req_arrival")
-            .filter_map(|r| field(r, "sub"))
+            .filter_map(|r| match r.event {
+                TraceEvent::ReqArrival { sub, .. } => Some(sub),
+                _ => None,
+            })
             .collect();
         let want = if doubled_at(0, k) {
             vec![0, 0, 1]
@@ -165,7 +156,7 @@ fn arrivals_on_a_tick_instant_precede_the_tick_in_site_order() {
         assert_eq!(arrivals, want, "arrivals at {t} ns");
         let first_other = at_t
             .iter()
-            .position(|r| kind(r) != "req_arrival")
+            .position(|r| r.event.kind() != "req_arrival")
             .expect("the tick emits records");
         assert_eq!(
             first_other,
@@ -173,7 +164,7 @@ fn arrivals_on_a_tick_instant_precede_the_tick_in_site_order() {
             "a record at {t} ns preceded an arrival"
         );
         assert!(
-            at_t.iter().any(|r| kind(r) == "sched_cycle"),
+            at_t.iter().any(|r| r.event.kind() == "sched_cycle"),
             "no scheduling tick at {t} ns"
         );
         checked += 1;

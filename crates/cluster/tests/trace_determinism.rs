@@ -84,12 +84,7 @@ fn trace_dump_is_valid_and_covers_all_event_families() {
     let retained = header.get("retained").and_then(Json::as_u64).unwrap();
     assert_eq!(records.len() as u64, retained);
 
-    let count = |kind: &str| {
-        records
-            .iter()
-            .filter(|r| r.get("kind").and_then(Json::as_str) == Some(kind))
-            .count()
-    };
+    let count = |kind: &str| records.iter().filter(|r| r.event.kind() == kind).count();
     for kind in [
         "sched_cycle",
         "dispatch",
@@ -106,10 +101,10 @@ fn trace_dump_is_valid_and_covers_all_event_families() {
     // emission order) and seq numbers are dense.
     let mut last_t = 0u64;
     for (i, r) in records.iter().enumerate() {
-        let t = r.get("t_ns").and_then(Json::as_u64).expect("t_ns");
+        let t = r.at.as_nanos();
         assert!(t >= last_t, "record {i} went back in time");
         last_t = t;
-        assert_eq!(r.get("seq").and_then(Json::as_u64), Some(i as u64));
+        assert_eq!(r.seq, i as u64);
     }
 }
 

@@ -442,7 +442,15 @@ impl<K: Hash + Eq, V> DetMap<K, V> {
     }
 
     fn rebuild(&mut self, new_cap: usize) {
-        let mut index = vec![EMPTY; new_cap];
+        // A same-size rebuild only purges tombstones: refill the buffer in
+        // place. Tables that churn (one insert and one remove per request)
+        // purge forever, so a fresh buffer each time would allocate forever.
+        let mut index = std::mem::take(&mut self.index);
+        if index.len() == new_cap {
+            index.fill(EMPTY);
+        } else {
+            index = vec![EMPTY; new_cap];
+        }
         let mask = new_cap - 1;
         let mut cur = self.head;
         while cur != NIL {
@@ -569,6 +577,30 @@ mod tests {
         assert!(m.is_empty());
         m.insert(7, 7);
         assert_eq!(m.get(&7), Some(&7));
+    }
+
+    #[test]
+    fn tombstone_purge_rebuilds_in_place() {
+        let mut m = DetMap::new();
+        m.insert(0u64, 0u64);
+        let (buf, cap) = (m.index.as_ptr(), m.index.len());
+        // One live entry while tombstones pile up: every rebuild is a
+        // same-size purge. Checked after every step, because a freed
+        // buffer's address can come back from the allocator later.
+        let mut purges = 0;
+        for k in 1u64..200 {
+            let tombs = m.tombs;
+            m.insert(k, k);
+            if m.tombs < tombs {
+                purges += 1;
+            }
+            assert_eq!(m.remove(&(k - 1)), Some(k - 1));
+            assert_eq!(m.index.len(), cap, "churn at one entry never grows");
+            assert_eq!(m.index.as_ptr(), buf, "purge {purges} reallocated");
+        }
+        assert!(purges > 10, "{purges} purges");
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.get(&199), Some(&199));
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! | `crate-attrs` | every lib crate | missing `#![forbid(unsafe_code)]` / `#![warn(missing_docs)]` |
 //! | `float-eq` | gage-core | `==`/`!=` on float literals or resource/credit fields |
 //! | `watchdog-set-up` | everywhere except gage-core::node, gage-cluster::{sim,faults} | `.set_up(` (node-liveness flips outside the watchdog/FaultPlan skip hysteresis and the NodeDown/NodeUp trace) |
-//! | `trace-kind-exhaustive` | gage-obs::spans | wildcard `_ =>` match arms (the span reconstructor must handle every `TraceKind` variant explicitly so new kinds fail to compile, not silently vanish from timelines) |
 //! | `dep-version` | every `Cargo.toml` | wildcard versions, literal versions outside `[workspace.dependencies]`, duplicated versions |
 //!
 //! # Cross-file analyses
@@ -35,8 +34,6 @@
 //! | rule | catches |
 //! |---|---|
 //! | `rng-stream-discipline` | `SimRng::seed_from` without a named `.split("stream")` derivation outside gage-des; stream labels aliased across two modules |
-//! | `trace-kind-coverage` | `TraceKind` variants with no `TraceEvent` emit site or no reconstructor consumer arm |
-//! | `fault-kind-coverage` | `FaultEvent` variants with no apply site outside the `FaultPlan` builders, or no `TraceKind` variant carrying the fault into the causal record |
 //! | `panic-reachability` | `unwrap`/`expect`/`panic!`-class constructs and literal indexing in callees reachable from the hot-path entry points (`run_cycle_into`, splice remap, `EventQueue::{schedule,pop}`) |
 //!
 //! # Meta-rules
@@ -117,8 +114,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     }
     rules::manifest::run(&ws, &mut sink);
     rules::rng::run(&ws, &mut sink);
-    rules::trace::run(&ws, &mut sink);
-    rules::fault::run(&ws, &mut sink);
     rules::panics::run(&ws, &mut sink);
     // Meta-rule last: it audits what the sink recorded above.
     rules::allows::run(&ws, &mut sink);

@@ -10,12 +10,10 @@ use crate::model::FileModel;
 use crate::Finding;
 
 pub mod allows;
-pub mod fault;
 pub mod manifest;
 pub mod panics;
 pub mod rng;
 pub mod tokens;
-pub mod trace;
 
 /// One registered rule: id plus the one-line description used by the SARIF
 /// emitter and the documentation table.
@@ -74,24 +72,12 @@ pub const RULES: &[RuleInfo] = &[
         summary: "node-liveness flips outside the watchdog/FaultPlan modules",
     },
     RuleInfo {
-        id: "trace-kind-exhaustive",
-        summary: "wildcard `_ =>` arms in trace reconstructors",
-    },
-    RuleInfo {
         id: "dep-version",
         summary: "wildcard/local/duplicated dependency versions",
     },
     RuleInfo {
         id: "rng-stream-discipline",
         summary: "underived RNG seeds and stream labels aliased across modules",
-    },
-    RuleInfo {
-        id: "trace-kind-coverage",
-        summary: "TraceKind variants with no emit site or no spans.rs consumer arm",
-    },
-    RuleInfo {
-        id: "fault-kind-coverage",
-        summary: "FaultEvent variants with no apply site or no matching TraceKind",
     },
     RuleInfo {
         id: "panic-reachability",
@@ -145,10 +131,6 @@ pub const OBS_MODULES: &[(&str, &[&str])] = &[
     ("gage-net", &["splice"]),
     ("gage-obs", &["ring", "registry", "lib", "spans", "audit"]),
 ];
-
-/// (crate, module stems) that fold raw trace records back into structured
-/// timelines; these must match every `TraceKind` variant explicitly.
-pub const TRACE_EXHAUSTIVE_MODULES: &[(&str, &[&str])] = &[("gage-obs", &["spans"])];
 
 /// (crate, module stems) allowed to flip node liveness with
 /// `NodeScheduler::set_up`.

@@ -73,7 +73,6 @@ fn check_tokens(krate: &CrateModel, file: &FileModel, sink: &mut Sink) {
     let hot = rules::in_scope(rules::HOT_PATH_MODULES, pkg, &file.stem);
     let btree_hot = rules::in_scope(rules::HOT_PATH_BTREE_MODULES, pkg, &file.stem);
     let obs = rules::in_scope(rules::OBS_MODULES, pkg, &file.stem);
-    let reconstructor = rules::in_scope(rules::TRACE_EXHAUSTIVE_MODULES, pkg, &file.stem);
     let liveness_ok = rules::in_scope(rules::SET_UP_MODULES, pkg, &file.stem);
     let float_crate = pkg == "gage-core";
 
@@ -165,17 +164,6 @@ fn check_tokens(krate: &CrateModel, file: &FileModel, sink: &mut Sink) {
                         );
                     }
                 }
-            }
-
-            if reconstructor && text == "_" && txt(file, i + 1) == "=>" {
-                at(
-                    sink,
-                    "trace-kind-exhaustive",
-                    "wildcard `_ =>` arm in a trace reconstructor; match every TraceKind \
-                     variant explicitly so new kinds fail to compile instead of silently \
-                     vanishing from timelines"
-                        .to_string(),
-                );
             }
         }
 

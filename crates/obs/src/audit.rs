@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use gage_json::Json;
 
 use crate::spans::{SpanReport, SpanTotals, Terminal};
-use crate::{Histogram, TraceKind};
+use crate::{Histogram, TraceEvent, TraceRecord};
 
 /// Schema tag stamped into every JSON conformance report.
 pub const AUDIT_SCHEMA: &str = "gage-audit-v1";
@@ -97,7 +97,8 @@ pub struct SubscriberAudit {
     /// Configured reservation from the dump's `reservation` record, GRPS.
     pub reservation_grps: Option<f64>,
     /// The RDN shard the subscriber is homed on, from the `reservation`
-    /// record (`None` for pre-shard dumps without the field).
+    /// record (`None` when the dump has no `reservation` record for the
+    /// subscriber).
     pub shard: Option<u16>,
     /// Conservation totals reconstructed from spans — cross-checked
     /// field-for-field against `SubscriberMetrics` by the cluster tests.
@@ -293,35 +294,16 @@ struct ClusterContext {
 }
 
 impl ClusterContext {
-    fn from_records(records: &[Json]) -> ClusterContext {
+    fn from_records(records: &[TraceRecord]) -> ClusterContext {
         let mut ctx = ClusterContext::default();
         for rec in records {
-            let kind = rec
-                .get("kind")
-                .and_then(Json::as_str)
-                .and_then(TraceKind::parse);
-            let t = rec.get("t_ns").and_then(Json::as_u64).unwrap_or(0);
-            match kind {
-                Some(TraceKind::Reservation) => {
-                    if let (Some(sub), Some(grps)) = (
-                        rec.get("sub").and_then(Json::as_u64),
-                        rec.get("grps").and_then(Json::as_f64),
-                    ) {
-                        // Additive field: pre-shard dumps default to 0.
-                        let shard = rec.get("shard").and_then(Json::as_u64).unwrap_or(0) as u16;
-                        ctx.reservations.push((sub as u32, grps, shard));
-                    }
+            let t = rec.at.as_nanos();
+            match rec.event {
+                TraceEvent::Reservation { sub, grps, shard } => {
+                    ctx.reservations.push((sub, grps, shard));
                 }
-                Some(TraceKind::ReservationScale) => {
-                    if let Some(scale) = rec.get("scale").and_then(Json::as_f64) {
-                        ctx.scales.push((t, scale));
-                    }
-                }
-                Some(TraceKind::SchedCycle) => {
-                    if let Some(cycle) = rec.get("cycle").and_then(Json::as_u64) {
-                        ctx.cycles.push((t, cycle));
-                    }
-                }
+                TraceEvent::ReservationScale { scale } => ctx.scales.push((t, scale)),
+                TraceEvent::SchedCycle { cycle, .. } => ctx.cycles.push((t, cycle)),
                 _ => {}
             }
         }
@@ -381,9 +363,13 @@ impl ClusterContext {
     }
 }
 
-/// Audits pre-parsed dump parts: a span report plus the raw records (for
+/// Audits pre-parsed dump parts: a span report plus the typed records (for
 /// reservations, scale changes and cycle mapping).
-pub fn audit_records(spans: &SpanReport, records: &[Json], config: &AuditConfig) -> AuditReport {
+pub fn audit_records(
+    spans: &SpanReport,
+    records: &[TraceRecord],
+    config: &AuditConfig,
+) -> AuditReport {
     let ctx = ClusterContext::from_records(records);
     let window_ns = config.window_ns.max(1);
     let window_secs = window_ns as f64 / 1e9;

@@ -9,7 +9,9 @@
 //! * [`TraceRing`] / [`Tracer`] — a fixed-capacity ring of typed, `Copy`
 //!   [`TraceEvent`] records stamped with [`gage_des::SimTime`]. Emission is
 //!   allocation-free; a disabled tracer costs one branch. Dumps are
-//!   line-oriented JSON and byte-identical across same-seed runs.
+//!   line-oriented JSON and byte-identical across same-seed runs. Every
+//!   kind is declared once, and [`parse_dump`] reads a dump back into
+//!   typed, range-checked [`TraceRecord`]s.
 //! * [`Registry`] — named counters / gauges / [`Histogram`]s (with
 //!   deterministic p50/p95/p99 estimation) and insertion-ordered,
 //!   deterministic export as `gage-json` or a table.
@@ -36,19 +38,20 @@ mod ring;
 pub mod spans;
 
 pub use registry::{Histogram, Registry, METRICS_SCHEMA};
-pub use ring::{TraceEvent, TraceKind, TraceRecord, TraceRing, Tracer, TRACE_SCHEMA};
+pub use ring::{TraceEvent, TraceRecord, TraceRing, Tracer, KINDS, TRACE_SCHEMA};
 
 use gage_json::Json;
 
 /// Parses a dump produced by [`TraceRing::dump`] back into its header and
-/// record objects, validating the schema tag and every line's JSON.
+/// typed records, validating the schema tag, every line's JSON and every
+/// record's fields (see [`TraceRecord::from_json`]).
 ///
 /// # Errors
 ///
 /// Returns a human-readable message naming the first offending line if the
 /// dump is empty, the header is missing or mistagged, or any line fails to
-/// parse.
-pub fn parse_dump(text: &str) -> Result<(Json, Vec<Json>), String> {
+/// parse as JSON or as a record of its kind.
+pub fn parse_dump(text: &str) -> Result<(Json, Vec<TraceRecord>), String> {
     let mut lines = text.lines().enumerate();
     let (_, first) = lines.next().ok_or_else(|| "empty dump".to_string())?;
     let header = gage_json::parse(first).map_err(|e| format!("line 1: {e}"))?;
@@ -62,11 +65,11 @@ pub fn parse_dump(text: &str) -> Result<(Json, Vec<Json>), String> {
         if line.is_empty() {
             continue;
         }
-        let v = gage_json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if v.get("kind").and_then(Json::as_str).is_none() {
-            return Err(format!("line {}: record missing kind", i + 1));
-        }
-        records.push(v);
+        let record = gage_json::parse(line)
+            .map_err(|e| e.to_string())
+            .and_then(|v| TraceRecord::from_json(&v))
+            .map_err(|e| format!("line {}: {e}", i + 1))?;
+        records.push(record);
     }
     Ok((header, records))
 }
@@ -93,9 +96,14 @@ mod tests {
         assert_eq!(header.get("retained").and_then(Json::as_u64), Some(2));
         assert_eq!(records.len(), 2);
         assert_eq!(
-            records[1].get("kind").and_then(Json::as_str),
-            Some("enqueue")
+            records[1].event,
+            TraceEvent::Enqueue {
+                sub: 1,
+                req: 6,
+                backlog: 2,
+            }
         );
+        assert_eq!(records[1].at, SimTime::from_millis(2));
     }
 
     #[test]

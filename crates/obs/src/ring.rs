@@ -12,6 +12,11 @@
 //!   same-seed runs produce byte-identical dumps.
 //! * **Cheaply disableable** — a disabled [`Tracer`] is `None` inside; every
 //!   emit is a single branch and the ring is never allocated.
+//! * **One schema** — every trace kind is declared once, in the
+//!   `trace_table!` invocation below: its variant, dump name, docs and
+//!   typed fields. The enum, the kind names ([`KINDS`]), the dump writer
+//!   and the typed reader ([`TraceRecord::from_json`]) are all generated
+//!   from that row, so the reader agrees with the writer by construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -19,20 +24,70 @@ use std::sync::{Arc, Mutex, PoisonError};
 use gage_des::SimTime;
 use gage_json::Json;
 
-/// One typed trace record payload.
-///
-/// Every variant is `Copy` and scalar-only: emitting must not allocate.
-/// Endpoint addresses are carried as raw `u32` IPv4 bits + port so this
-/// crate needs no dependency on `gage-net`.
-///
-/// Request-lifecycle variants carry a `req` id: a per-run monotonically
-/// assigned request identifier threaded end-to-end (client issue → RDN →
-/// RPN → splice → resolution) so the [`crate::spans`] reconstructor can
-/// fold a dump back into per-request causal timelines.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEvent {
+/// Generates [`TraceEvent`], [`KINDS`], [`TraceEvent::kind`], the dump
+/// writer [`TraceEvent::fields`] and the typed reader from one table. A
+/// row is `Variant = "dump_name" { field: type, ... }` with its docs; the
+/// field order is the order the dump writes them in.
+macro_rules! trace_table {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $name:literal {
+            $( $(#[$fdoc:meta])* $field:ident: $ty:ty, )+
+        }
+    )+) => {
+        /// One typed trace record payload.
+        ///
+        /// Every variant is `Copy` and scalar-only: emitting must not
+        /// allocate. Endpoint addresses are carried as raw `u32` IPv4 bits
+        /// + port so this crate needs no dependency on `gage-net`.
+        ///
+        /// Request-lifecycle variants carry a `req` id: a per-run
+        /// monotonically assigned request identifier threaded end-to-end
+        /// (client issue → RDN → RPN → splice → resolution) so the
+        /// [`crate::spans`] reconstructor can fold a dump back into
+        /// per-request causal timelines.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum TraceEvent {
+            $( $(#[$doc])* $variant { $( $(#[$fdoc])* $field: $ty, )+ }, )+
+        }
+
+        /// Every kind's dump name, in declaration order.
+        pub const KINDS: &[&str] = &[$($name),+];
+
+        impl TraceEvent {
+            /// Stable snake_case kind name used in dumps and `tracedump`
+            /// filters.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( TraceEvent::$variant { .. } => $name, )+
+                }
+            }
+
+            /// The payload as ordered JSON fields, as the dump writes them.
+            pub fn fields(&self) -> Vec<(&'static str, Json)> {
+                match *self {
+                    $( TraceEvent::$variant { $($field),+ } => {
+                        vec![$((stringify!($field), Json::from($field))),+]
+                    } )+
+                }
+            }
+
+            /// Reads a payload of kind `kind` back from a dump record.
+            fn read(kind: &str, rec: &Json) -> Result<TraceEvent, String> {
+                Ok(match kind {
+                    $( $name => TraceEvent::$variant {
+                        $( $field: read_field(rec, stringify!($field))?, )+
+                    }, )+
+                    other => return Err(format!("unknown kind {other:?}")),
+                })
+            }
+        }
+    };
+}
+
+trace_table! {
     /// One scheduler cycle finished (`RequestScheduler::run_cycle_into`).
-    SchedCycle {
+    SchedCycle = "sched_cycle" {
         /// Monotonic cycle number since scheduler construction.
         cycle: u64,
         /// Requests dispatched this cycle (reserved + spare).
@@ -41,9 +96,9 @@ pub enum TraceEvent {
         spare: u32,
         /// Total backlog across all subscriber queues after the cycle.
         backlog: u32,
-    },
+    }
     /// One request left a subscriber queue for an RPN.
-    Dispatch {
+    Dispatch = "dispatch" {
         /// The queue the request came from.
         sub: u32,
         /// The request's run-wide id (0 when the scheduler's request type
@@ -57,25 +112,25 @@ pub enum TraceEvent {
         predicted_cpu_us: f64,
         /// The subscriber's CPU credit balance after booking, µs.
         balance_cpu_us: f64,
-    },
+    }
     /// A classified request was accepted into a subscriber queue.
-    Enqueue {
+    Enqueue = "enqueue" {
         /// The owning subscriber.
         sub: u32,
         /// The request's run-wide id.
         req: u64,
         /// Queue length after the insert.
         backlog: u32,
-    },
+    }
     /// A classified request was dropped because its queue was full.
-    Drop {
+    Drop = "drop" {
         /// The owning subscriber.
         sub: u32,
         /// The request's run-wide id.
         req: u64,
-    },
+    }
     /// An RPN's local service manager built a splice for a connection.
-    SpliceSetup {
+    SpliceSetup = "splice_setup" {
         /// The request's run-wide id.
         req: u64,
         /// Client IPv4 address (raw bits).
@@ -86,181 +141,181 @@ pub enum TraceEvent {
         rpn_ip: u32,
         /// `rdn_isn - rpn_isn` on the sequence circle.
         seq_delta: u32,
-    },
+    }
     /// A spliced connection completed and its remap state was retired.
-    SpliceTeardown {
+    SpliceTeardown = "splice_teardown" {
         /// The request's run-wide id.
         req: u64,
         /// Client IPv4 address (raw bits).
         client_ip: u32,
         /// Client port.
         client_port: u16,
-    },
+    }
     /// An RPN accounting report was reconciled at the RDN.
-    AcctReport {
+    AcctReport = "acct_report" {
         /// The reporting node.
         rpn: u16,
         /// Per-subscriber lines in the report.
         subscribers: u32,
         /// Requests completed across all lines.
         completed: u32,
-    },
+    }
     /// An RPN's load estimate after reconciling its report.
-    NodeLoad {
+    NodeLoad = "node_load" {
         /// The node.
         rpn: u16,
         /// Estimated load fraction of the node's dispatch window, `[0, 1+]`.
         load: f64,
-    },
+    }
     /// The report watchdog wrote a node off (no report within the grace
     /// window) and the scheduler stopped dispatching to it.
-    NodeDown {
+    NodeDown = "node_down" {
         /// The node written off.
         rpn: u16,
-    },
+    }
     /// A written-off node's report arrived again and the scheduler resumed
     /// dispatching to it (the watchdog's symmetric up-path).
-    NodeUp {
+    NodeUp = "node_up" {
         /// The node readmitted.
         rpn: u16,
-    },
+    }
     /// A fault plan (or `schedule_rpn_crash`) fail-stopped an RPN: all its
     /// in-flight work is lost and its accounting chain goes silent.
-    RpnCrash {
+    RpnCrash = "rpn_crash" {
         /// The crashed node.
         rpn: u16,
-    },
+    }
     /// A fault plan rebooted a crashed RPN: cold caches, fresh process
     /// table, accounting chain restarted.
-    RpnRecover {
+    RpnRecover = "rpn_recover" {
         /// The recovered node.
         rpn: u16,
-    },
+    }
     /// A client request timed out and is being retried on a new connection
     /// (bounded deterministic backoff).
-    RequestRetry {
+    RequestRetry = "request_retry" {
         /// The owning subscriber.
         sub: u32,
         /// The request's run-wide id (stable across retries).
         req: u64,
         /// Retry attempt number just started (1 = first retry).
         attempt: u32,
-    },
+    }
     /// A client request exhausted its retries and terminally failed — the
     /// third conservation bucket next to served and dropped.
-    RequestFailed {
+    RequestFailed = "request_failed" {
         /// The owning subscriber.
         sub: u32,
         /// The request's run-wide id.
         req: u64,
         /// Total attempts made (initial try + retries).
         attempts: u32,
-    },
+    }
     /// The RDN purged a written-off node's splice routes from its
     /// connection table.
-    RoutesPurged {
+    RoutesPurged = "routes_purged" {
         /// The node whose routes were removed.
         rpn: u16,
         /// Entries removed.
         count: u32,
-    },
+    }
     /// A dispatch addressed to a dead node was intercepted and re-queued at
     /// the front of its subscriber's queue (its booking refunded).
-    DispatchRequeued {
+    DispatchRequeued = "dispatch_requeue" {
         /// The owning subscriber.
         sub: u32,
         /// The request's run-wide id.
         req: u64,
         /// The dead node the dispatch was bound for.
         rpn: u16,
-    },
+    }
     /// The scheduler re-scaled effective reservations because live capacity
     /// fell below (or recovered to cover) the sum of reservations.
-    ReservationScale {
+    ReservationScale = "reservation_scale" {
         /// Multiplier applied to every reservation this cycle, `(0, 1]`.
         scale: f64,
-    },
+    }
     /// A client issued a request — the start of its causal timeline and the
     /// unit the conservation invariant counts (`offered`).
-    ReqArrival {
+    ReqArrival = "req_arrival" {
         /// The owning subscriber.
         sub: u32,
         /// The request's run-wide id.
         req: u64,
-    },
+    }
     /// A client received its response — the `served` terminal state.
-    ReqServed {
+    ReqServed = "req_served" {
         /// The owning subscriber.
         sub: u32,
         /// The request's run-wide id.
         req: u64,
-    },
+    }
     /// A client's request was refused at admission (queue full, RST) —
     /// the `dropped` terminal state.
-    ReqDropped {
+    ReqDropped = "req_dropped" {
         /// The owning subscriber.
         sub: u32,
         /// The request's run-wide id.
         req: u64,
-    },
+    }
     /// An RPN finished servicing a request (response handed to the NIC).
     /// Not a terminal state — the client still has to receive it.
-    ReqComplete {
+    ReqComplete = "req_complete" {
         /// The owning subscriber.
         sub: u32,
         /// The request's run-wide id.
         req: u64,
         /// The node that serviced it.
         rpn: u16,
-    },
+    }
     /// A subscriber's configured reservation, emitted once when tracing is
     /// enabled so dumps are self-describing for the conformance auditor.
-    Reservation {
+    Reservation = "reservation" {
         /// The subscriber.
         sub: u32,
         /// Reserved general requests per second.
         grps: f64,
         /// The RDN shard the subscriber is homed on (0 with one RDN).
         shard: u16,
-    },
+    }
     /// Periodic snapshot of the DES event queue's depth and lifetime
     /// counts (emitted every 64th scheduling cycle). Counts that depend
     /// on the queue's internal layout, such as timing-wheel cascades, are
     /// left to the metrics registry (`des.wheel_cascades`), so the dump's
     /// bytes depend only on the events the model scheduled.
-    QueueStats {
+    QueueStats = "queue_stats" {
         /// Events pending in the queue at the snapshot.
         depth: u32,
         /// Lifetime events scheduled.
         scheduled: u64,
         /// Lifetime events cancelled before firing.
         cancelled: u64,
-    },
+    }
     /// A fault plan fail-stopped a front-end RDN: its scheduler state,
     /// connection routes and accounting epoch are lost; its subscriber
     /// shard fails over to a surviving peer after the watchdog grace.
-    RdnCrash {
+    RdnCrash = "rdn_crash" {
         /// The crashed front end.
         rdn: u16,
-    },
+    }
     /// A fault plan rebooted a crashed RDN: fresh scheduler, new
     /// accounting epoch; its home shard fails back at the next cycle.
-    RdnRecover {
+    RdnRecover = "rdn_recover" {
         /// The recovered front end.
         rdn: u16,
-    },
+    }
     /// One RDN gossiped its replicated accounting table to a peer.
-    ReportGossip {
+    ReportGossip = "report_gossip" {
         /// The sending front end.
         from: u16,
         /// The receiving front end.
         to: u16,
         /// Rows in the gossiped snapshot.
         rows: u32,
-    },
+    }
     /// A subscriber shard changed owner (failover to a surviving peer, or
     /// failback to its recovered home RDN).
-    ShardTakeover {
+    ShardTakeover = "shard_takeover" {
         /// The shard that moved.
         shard: u16,
         /// The previous owner.
@@ -269,380 +324,75 @@ pub enum TraceEvent {
         to: u16,
         /// Subscribers in the shard.
         subs: u32,
-    },
+    }
     /// A gossiped accounting snapshot was merged into a peer's table.
-    AcctMerge {
+    AcctMerge = "acct_merge" {
         /// The merging front end.
         rdn: u16,
         /// The snapshot's sender.
         from: u16,
         /// Rows the merge actually changed (0 = duplicate delivery).
         changed: u32,
-    },
-}
-
-/// The fieldless tag of a [`TraceEvent`] variant.
-///
-/// Analysis code (the span reconstructor in [`crate::spans`], kind filters
-/// in `tracedump`) matches on this enum rather than on raw strings, so the
-/// compiler — backed by the `trace-kind-exhaustive` lint rule — can prove
-/// every trace kind is handled when a new variant is added.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TraceKind {
-    /// `sched_cycle`
-    SchedCycle,
-    /// `dispatch`
-    Dispatch,
-    /// `enqueue`
-    Enqueue,
-    /// `drop`
-    Drop,
-    /// `splice_setup`
-    SpliceSetup,
-    /// `splice_teardown`
-    SpliceTeardown,
-    /// `acct_report`
-    AcctReport,
-    /// `node_load`
-    NodeLoad,
-    /// `node_down`
-    NodeDown,
-    /// `node_up`
-    NodeUp,
-    /// `rpn_crash`
-    RpnCrash,
-    /// `rpn_recover`
-    RpnRecover,
-    /// `request_retry`
-    RequestRetry,
-    /// `request_failed`
-    RequestFailed,
-    /// `routes_purged`
-    RoutesPurged,
-    /// `dispatch_requeue`
-    DispatchRequeued,
-    /// `reservation_scale`
-    ReservationScale,
-    /// `req_arrival`
-    ReqArrival,
-    /// `req_served`
-    ReqServed,
-    /// `req_dropped`
-    ReqDropped,
-    /// `req_complete`
-    ReqComplete,
-    /// `reservation`
-    Reservation,
-    /// `queue_stats`
-    QueueStats,
-    /// `rdn_crash`
-    RdnCrash,
-    /// `rdn_recover`
-    RdnRecover,
-    /// `report_gossip`
-    ReportGossip,
-    /// `shard_takeover`
-    ShardTakeover,
-    /// `acct_merge`
-    AcctMerge,
-}
-
-impl TraceKind {
-    /// Every kind, in declaration order.
-    pub const ALL: [TraceKind; 28] = [
-        TraceKind::SchedCycle,
-        TraceKind::Dispatch,
-        TraceKind::Enqueue,
-        TraceKind::Drop,
-        TraceKind::SpliceSetup,
-        TraceKind::SpliceTeardown,
-        TraceKind::AcctReport,
-        TraceKind::NodeLoad,
-        TraceKind::NodeDown,
-        TraceKind::NodeUp,
-        TraceKind::RpnCrash,
-        TraceKind::RpnRecover,
-        TraceKind::RequestRetry,
-        TraceKind::RequestFailed,
-        TraceKind::RoutesPurged,
-        TraceKind::DispatchRequeued,
-        TraceKind::ReservationScale,
-        TraceKind::ReqArrival,
-        TraceKind::ReqServed,
-        TraceKind::ReqDropped,
-        TraceKind::ReqComplete,
-        TraceKind::Reservation,
-        TraceKind::QueueStats,
-        TraceKind::RdnCrash,
-        TraceKind::RdnRecover,
-        TraceKind::ReportGossip,
-        TraceKind::ShardTakeover,
-        TraceKind::AcctMerge,
-    ];
-
-    /// Stable snake_case tag used in dumps and `tracedump` filters.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TraceKind::SchedCycle => "sched_cycle",
-            TraceKind::Dispatch => "dispatch",
-            TraceKind::Enqueue => "enqueue",
-            TraceKind::Drop => "drop",
-            TraceKind::SpliceSetup => "splice_setup",
-            TraceKind::SpliceTeardown => "splice_teardown",
-            TraceKind::AcctReport => "acct_report",
-            TraceKind::NodeLoad => "node_load",
-            TraceKind::NodeDown => "node_down",
-            TraceKind::NodeUp => "node_up",
-            TraceKind::RpnCrash => "rpn_crash",
-            TraceKind::RpnRecover => "rpn_recover",
-            TraceKind::RequestRetry => "request_retry",
-            TraceKind::RequestFailed => "request_failed",
-            TraceKind::RoutesPurged => "routes_purged",
-            TraceKind::DispatchRequeued => "dispatch_requeue",
-            TraceKind::ReservationScale => "reservation_scale",
-            TraceKind::ReqArrival => "req_arrival",
-            TraceKind::ReqServed => "req_served",
-            TraceKind::ReqDropped => "req_dropped",
-            TraceKind::ReqComplete => "req_complete",
-            TraceKind::Reservation => "reservation",
-            TraceKind::QueueStats => "queue_stats",
-            TraceKind::RdnCrash => "rdn_crash",
-            TraceKind::RdnRecover => "rdn_recover",
-            TraceKind::ReportGossip => "report_gossip",
-            TraceKind::ShardTakeover => "shard_takeover",
-            TraceKind::AcctMerge => "acct_merge",
-        }
-    }
-
-    /// Parses a dump tag back into a kind; `None` for unknown tags.
-    pub fn parse(tag: &str) -> Option<TraceKind> {
-        TraceKind::ALL.iter().copied().find(|k| k.as_str() == tag)
     }
 }
 
-impl TraceEvent {
-    /// The variant's fieldless tag.
-    pub fn kind_tag(&self) -> TraceKind {
-        match self {
-            TraceEvent::SchedCycle { .. } => TraceKind::SchedCycle,
-            TraceEvent::Dispatch { .. } => TraceKind::Dispatch,
-            TraceEvent::Enqueue { .. } => TraceKind::Enqueue,
-            TraceEvent::Drop { .. } => TraceKind::Drop,
-            TraceEvent::SpliceSetup { .. } => TraceKind::SpliceSetup,
-            TraceEvent::SpliceTeardown { .. } => TraceKind::SpliceTeardown,
-            TraceEvent::AcctReport { .. } => TraceKind::AcctReport,
-            TraceEvent::NodeLoad { .. } => TraceKind::NodeLoad,
-            TraceEvent::NodeDown { .. } => TraceKind::NodeDown,
-            TraceEvent::NodeUp { .. } => TraceKind::NodeUp,
-            TraceEvent::RpnCrash { .. } => TraceKind::RpnCrash,
-            TraceEvent::RpnRecover { .. } => TraceKind::RpnRecover,
-            TraceEvent::RequestRetry { .. } => TraceKind::RequestRetry,
-            TraceEvent::RequestFailed { .. } => TraceKind::RequestFailed,
-            TraceEvent::RoutesPurged { .. } => TraceKind::RoutesPurged,
-            TraceEvent::DispatchRequeued { .. } => TraceKind::DispatchRequeued,
-            TraceEvent::ReservationScale { .. } => TraceKind::ReservationScale,
-            TraceEvent::ReqArrival { .. } => TraceKind::ReqArrival,
-            TraceEvent::ReqServed { .. } => TraceKind::ReqServed,
-            TraceEvent::ReqDropped { .. } => TraceKind::ReqDropped,
-            TraceEvent::ReqComplete { .. } => TraceKind::ReqComplete,
-            TraceEvent::Reservation { .. } => TraceKind::Reservation,
-            TraceEvent::QueueStats { .. } => TraceKind::QueueStats,
-            TraceEvent::RdnCrash { .. } => TraceKind::RdnCrash,
-            TraceEvent::RdnRecover { .. } => TraceKind::RdnRecover,
-            TraceEvent::ReportGossip { .. } => TraceKind::ReportGossip,
-            TraceEvent::ShardTakeover { .. } => TraceKind::ShardTakeover,
-            TraceEvent::AcctMerge { .. } => TraceKind::AcctMerge,
-        }
-    }
+/// A scalar a trace field can hold, read back from dump JSON with exactly
+/// the range of its Rust type: a value that does not fit is an error, never
+/// silently narrowed.
+trait FieldValue: Sized {
+    /// The type's name, for error messages.
+    const NAME: &'static str;
+    /// The value, if `v` holds one in range.
+    fn from_json(v: &Json) -> Option<Self>;
+}
 
-    /// Stable snake_case kind tag used in dumps and `tracedump` filters.
-    pub fn kind(&self) -> &'static str {
-        self.kind_tag().as_str()
+impl FieldValue for u64 {
+    const NAME: &'static str = "u64";
+    fn from_json(v: &Json) -> Option<u64> {
+        v.as_u64()
     }
+}
 
-    /// The subscriber this record is about, for per-subscriber filtering.
-    pub fn subscriber(&self) -> Option<u32> {
-        match self {
-            TraceEvent::Dispatch { sub, .. }
-            | TraceEvent::Enqueue { sub, .. }
-            | TraceEvent::Drop { sub, .. }
-            | TraceEvent::RequestRetry { sub, .. }
-            | TraceEvent::RequestFailed { sub, .. }
-            | TraceEvent::DispatchRequeued { sub, .. }
-            | TraceEvent::ReqArrival { sub, .. }
-            | TraceEvent::ReqServed { sub, .. }
-            | TraceEvent::ReqDropped { sub, .. }
-            | TraceEvent::ReqComplete { sub, .. }
-            | TraceEvent::Reservation { sub, .. } => Some(*sub),
+impl FieldValue for u32 {
+    const NAME: &'static str = "u32";
+    fn from_json(v: &Json) -> Option<u32> {
+        v.as_u64().and_then(|n| u32::try_from(n).ok())
+    }
+}
+
+impl FieldValue for u16 {
+    const NAME: &'static str = "u16";
+    fn from_json(v: &Json) -> Option<u16> {
+        v.as_u64().and_then(|n| u16::try_from(n).ok())
+    }
+}
+
+impl FieldValue for bool {
+    const NAME: &'static str = "bool";
+    fn from_json(v: &Json) -> Option<bool> {
+        v.as_bool()
+    }
+}
+
+impl FieldValue for f64 {
+    const NAME: &'static str = "f64";
+    /// JSON has no infinities or NaN, so the writer emits every non-finite
+    /// value as `null`; `null` reads back as NaN, the one value that says
+    /// "not a finite number" without claiming which.
+    fn from_json(v: &Json) -> Option<f64> {
+        match v {
+            Json::Num(n) => Some(*n),
+            Json::Null => Some(f64::NAN),
             _ => None,
         }
     }
+}
 
-    /// The request id this record is about, for per-request filtering.
-    /// `None` for records not tied to one request (and for records whose
-    /// emitter carries no request identity, where `req` is 0).
-    pub fn request(&self) -> Option<u64> {
-        match self {
-            TraceEvent::Dispatch { req, .. }
-            | TraceEvent::Enqueue { req, .. }
-            | TraceEvent::Drop { req, .. }
-            | TraceEvent::SpliceSetup { req, .. }
-            | TraceEvent::SpliceTeardown { req, .. }
-            | TraceEvent::RequestRetry { req, .. }
-            | TraceEvent::RequestFailed { req, .. }
-            | TraceEvent::DispatchRequeued { req, .. }
-            | TraceEvent::ReqArrival { req, .. }
-            | TraceEvent::ReqServed { req, .. }
-            | TraceEvent::ReqDropped { req, .. }
-            | TraceEvent::ReqComplete { req, .. } => Some(*req),
-            _ => None,
-        }
-    }
-
-    /// The record's payload as ordered JSON fields (dump time only).
-    fn fields(&self) -> Vec<(&'static str, Json)> {
-        match *self {
-            TraceEvent::SchedCycle {
-                cycle,
-                dispatched,
-                spare,
-                backlog,
-            } => vec![
-                ("cycle", Json::from(cycle)),
-                ("dispatched", Json::from(dispatched)),
-                ("spare", Json::from(spare)),
-                ("backlog", Json::from(backlog)),
-            ],
-            TraceEvent::Dispatch {
-                sub,
-                req,
-                rpn,
-                spare,
-                predicted_cpu_us,
-                balance_cpu_us,
-            } => vec![
-                ("sub", Json::from(sub)),
-                ("req", Json::from(req)),
-                ("rpn", Json::from(rpn)),
-                ("spare", Json::from(spare)),
-                ("predicted_cpu_us", Json::from(predicted_cpu_us)),
-                ("balance_cpu_us", Json::from(balance_cpu_us)),
-            ],
-            TraceEvent::Enqueue { sub, req, backlog } => vec![
-                ("sub", Json::from(sub)),
-                ("req", Json::from(req)),
-                ("backlog", Json::from(backlog)),
-            ],
-            TraceEvent::Drop { sub, req } => {
-                vec![("sub", Json::from(sub)), ("req", Json::from(req))]
-            }
-            TraceEvent::SpliceSetup {
-                req,
-                client_ip,
-                client_port,
-                rpn_ip,
-                seq_delta,
-            } => vec![
-                ("req", Json::from(req)),
-                ("client_ip", Json::from(client_ip)),
-                ("client_port", Json::from(client_port)),
-                ("rpn_ip", Json::from(rpn_ip)),
-                ("seq_delta", Json::from(seq_delta)),
-            ],
-            TraceEvent::SpliceTeardown {
-                req,
-                client_ip,
-                client_port,
-            } => vec![
-                ("req", Json::from(req)),
-                ("client_ip", Json::from(client_ip)),
-                ("client_port", Json::from(client_port)),
-            ],
-            TraceEvent::AcctReport {
-                rpn,
-                subscribers,
-                completed,
-            } => vec![
-                ("rpn", Json::from(rpn)),
-                ("subscribers", Json::from(subscribers)),
-                ("completed", Json::from(completed)),
-            ],
-            TraceEvent::NodeLoad { rpn, load } => {
-                vec![("rpn", Json::from(rpn)), ("load", Json::from(load))]
-            }
-            TraceEvent::NodeDown { rpn }
-            | TraceEvent::NodeUp { rpn }
-            | TraceEvent::RpnCrash { rpn }
-            | TraceEvent::RpnRecover { rpn } => vec![("rpn", Json::from(rpn))],
-            TraceEvent::RequestRetry { sub, req, attempt } => vec![
-                ("sub", Json::from(sub)),
-                ("req", Json::from(req)),
-                ("attempt", Json::from(attempt)),
-            ],
-            TraceEvent::RequestFailed { sub, req, attempts } => vec![
-                ("sub", Json::from(sub)),
-                ("req", Json::from(req)),
-                ("attempts", Json::from(attempts)),
-            ],
-            TraceEvent::RoutesPurged { rpn, count } => {
-                vec![("rpn", Json::from(rpn)), ("count", Json::from(count))]
-            }
-            TraceEvent::DispatchRequeued { sub, req, rpn } => vec![
-                ("sub", Json::from(sub)),
-                ("req", Json::from(req)),
-                ("rpn", Json::from(rpn)),
-            ],
-            TraceEvent::ReservationScale { scale } => vec![("scale", Json::from(scale))],
-            TraceEvent::ReqArrival { sub, req }
-            | TraceEvent::ReqServed { sub, req }
-            | TraceEvent::ReqDropped { sub, req } => {
-                vec![("sub", Json::from(sub)), ("req", Json::from(req))]
-            }
-            TraceEvent::ReqComplete { sub, req, rpn } => vec![
-                ("sub", Json::from(sub)),
-                ("req", Json::from(req)),
-                ("rpn", Json::from(rpn)),
-            ],
-            TraceEvent::Reservation { sub, grps, shard } => vec![
-                ("sub", Json::from(sub)),
-                ("grps", Json::from(grps)),
-                ("shard", Json::from(shard)),
-            ],
-            TraceEvent::QueueStats {
-                depth,
-                scheduled,
-                cancelled,
-            } => vec![
-                ("depth", Json::from(depth)),
-                ("scheduled", Json::from(scheduled)),
-                ("cancelled", Json::from(cancelled)),
-            ],
-            TraceEvent::RdnCrash { rdn } | TraceEvent::RdnRecover { rdn } => {
-                vec![("rdn", Json::from(rdn))]
-            }
-            TraceEvent::ReportGossip { from, to, rows } => vec![
-                ("from", Json::from(from)),
-                ("to", Json::from(to)),
-                ("rows", Json::from(rows)),
-            ],
-            TraceEvent::ShardTakeover {
-                shard,
-                from,
-                to,
-                subs,
-            } => vec![
-                ("shard", Json::from(shard)),
-                ("from", Json::from(from)),
-                ("to", Json::from(to)),
-                ("subs", Json::from(subs)),
-            ],
-            TraceEvent::AcctMerge { rdn, from, changed } => vec![
-                ("rdn", Json::from(rdn)),
-                ("from", Json::from(from)),
-                ("changed", Json::from(changed)),
-            ],
-        }
-    }
+fn read_field<T: FieldValue>(rec: &Json, key: &str) -> Result<T, String> {
+    let v = rec
+        .get(key)
+        .ok_or_else(|| format!("missing field {key:?}"))?;
+    T::from_json(v).ok_or_else(|| format!("field {key:?} is not a {}: {v}", T::NAME))
 }
 
 /// One stamped record in the ring.
@@ -655,6 +405,42 @@ pub struct TraceRecord {
     pub at: SimTime,
     /// The payload.
     pub event: TraceEvent,
+}
+
+impl TraceRecord {
+    /// The record as one dump line's object: `seq`, `t_ns`, `kind`, then
+    /// the payload fields in declaration order.
+    pub fn to_json(&self) -> Json {
+        let mut pairs = vec![
+            ("seq", Json::from(self.seq)),
+            ("t_ns", Json::from(self.at.as_nanos())),
+            ("kind", Json::str(self.event.kind())),
+        ];
+        pairs.extend(self.event.fields());
+        Json::obj(pairs)
+    }
+
+    /// Reads one dump line's object back into a typed record.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the record's kind and the offending field
+    /// if the kind is unknown, or a field is missing or out of its type's
+    /// range. Unknown extra fields are ignored.
+    pub fn from_json(rec: &Json) -> Result<TraceRecord, String> {
+        let kind = rec
+            .get("kind")
+            .and_then(Json::as_str)
+            .ok_or_else(|| "record missing kind".to_string())?;
+        let stamp = |rec| -> Result<TraceRecord, String> {
+            Ok(TraceRecord {
+                seq: read_field(rec, "seq")?,
+                at: SimTime::from_nanos(read_field(rec, "t_ns")?),
+                event: TraceEvent::read(kind, rec)?,
+            })
+        };
+        stamp(rec).map_err(|e| format!("{kind} record: {e}"))
+    }
 }
 
 /// Schema tag stamped into the first line of every dump.
@@ -771,13 +557,7 @@ impl TraceRing {
         out.push_str(&header.to_string());
         out.push('\n');
         for r in self.iter() {
-            let mut pairs = vec![
-                ("seq", Json::from(r.seq)),
-                ("t_ns", Json::from(r.at.as_nanos())),
-                ("kind", Json::str(r.event.kind())),
-            ];
-            pairs.extend(r.event.fields());
-            out.push_str(&Json::obj(pairs).to_string());
+            out.push_str(&r.to_json().to_string());
             out.push('\n');
         }
         out
@@ -907,107 +687,6 @@ mod tests {
         }
     }
 
-    /// One instance of every variant, in declaration order.
-    fn one_of_each() -> Vec<TraceEvent> {
-        vec![
-            TraceEvent::SchedCycle {
-                cycle: 1,
-                dispatched: 2,
-                spare: 1,
-                backlog: 7,
-            },
-            TraceEvent::Dispatch {
-                sub: 0,
-                req: 41,
-                rpn: 3,
-                spare: true,
-                predicted_cpu_us: 1.5,
-                balance_cpu_us: -0.25,
-            },
-            TraceEvent::Enqueue {
-                sub: 1,
-                req: 42,
-                backlog: 4,
-            },
-            TraceEvent::Drop { sub: 1, req: 43 },
-            TraceEvent::SpliceSetup {
-                req: 44,
-                client_ip: 0x0a00_0001,
-                client_port: 40_000,
-                rpn_ip: 0x0a00_0204,
-                seq_delta: 99,
-            },
-            TraceEvent::SpliceTeardown {
-                req: 44,
-                client_ip: 0x0a00_0001,
-                client_port: 40_000,
-            },
-            TraceEvent::AcctReport {
-                rpn: 2,
-                subscribers: 3,
-                completed: 11,
-            },
-            TraceEvent::NodeLoad { rpn: 2, load: 0.75 },
-            TraceEvent::NodeDown { rpn: 1 },
-            TraceEvent::NodeUp { rpn: 1 },
-            TraceEvent::RpnCrash { rpn: 1 },
-            TraceEvent::RpnRecover { rpn: 1 },
-            TraceEvent::RequestRetry {
-                sub: 2,
-                req: 45,
-                attempt: 1,
-            },
-            TraceEvent::RequestFailed {
-                sub: 2,
-                req: 45,
-                attempts: 3,
-            },
-            TraceEvent::RoutesPurged { rpn: 1, count: 17 },
-            TraceEvent::DispatchRequeued {
-                sub: 2,
-                req: 46,
-                rpn: 1,
-            },
-            TraceEvent::ReservationScale { scale: 0.5 },
-            TraceEvent::ReqArrival { sub: 0, req: 47 },
-            TraceEvent::ReqServed { sub: 0, req: 47 },
-            TraceEvent::ReqDropped { sub: 1, req: 48 },
-            TraceEvent::ReqComplete {
-                sub: 0,
-                req: 47,
-                rpn: 2,
-            },
-            TraceEvent::Reservation {
-                sub: 0,
-                grps: 150.0,
-                shard: 0,
-            },
-            TraceEvent::QueueStats {
-                depth: 120,
-                scheduled: 10_000,
-                cancelled: 321,
-            },
-            TraceEvent::RdnCrash { rdn: 1 },
-            TraceEvent::RdnRecover { rdn: 1 },
-            TraceEvent::ReportGossip {
-                from: 0,
-                to: 1,
-                rows: 12,
-            },
-            TraceEvent::ShardTakeover {
-                shard: 1,
-                from: 1,
-                to: 0,
-                subs: 2,
-            },
-            TraceEvent::AcctMerge {
-                rdn: 0,
-                from: 1,
-                changed: 5,
-            },
-        ]
-    }
-
     #[test]
     fn ring_retains_in_emission_order() {
         let mut r = TraceRing::new(8);
@@ -1033,7 +712,13 @@ mod tests {
         // The survivors are exactly the newest four, oldest-first.
         let seqs: Vec<u64> = r.iter().map(|x| x.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);
-        let subs: Vec<u32> = r.iter().filter_map(|x| x.event.subscriber()).collect();
+        let subs: Vec<u32> = r
+            .iter()
+            .map(|x| match x.event {
+                TraceEvent::Drop { sub, .. } => sub,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
         assert_eq!(subs, vec![6, 7, 8, 9]);
         // Exactly at the boundary there is no loss.
         let mut exact = TraceRing::new(4);
@@ -1066,46 +751,6 @@ mod tests {
             Some(2)
         );
         assert_eq!(lines.count(), 2, "one line per retained record");
-    }
-
-    #[test]
-    fn every_kind_dumps_and_parses() {
-        let events = one_of_each();
-        assert_eq!(
-            events.len(),
-            TraceKind::ALL.len(),
-            "one_of_each must cover every kind"
-        );
-        let mut r = TraceRing::new(32);
-        for (i, e) in events.iter().enumerate() {
-            r.push(SimTime::from_millis(i as u64), *e);
-        }
-        let dump = r.dump();
-        for (line, e) in dump.lines().skip(1).zip(&events) {
-            let v = gage_json::parse(line).expect("record parses");
-            assert_eq!(
-                v.get("kind").and_then(gage_json::Json::as_str),
-                Some(e.kind())
-            );
-        }
-    }
-
-    #[test]
-    fn trace_kind_tags_roundtrip() {
-        // ALL covers each variant exactly once, tags are unique, and
-        // parse() inverts as_str().
-        let mut tags: Vec<&str> = TraceKind::ALL.iter().map(|k| k.as_str()).collect();
-        tags.sort_unstable();
-        tags.dedup();
-        assert_eq!(tags.len(), TraceKind::ALL.len(), "tags must be unique");
-        for k in TraceKind::ALL {
-            assert_eq!(TraceKind::parse(k.as_str()), Some(k));
-        }
-        assert_eq!(TraceKind::parse("no_such_kind"), None);
-        // kind_tag() agrees with kind() for every variant.
-        for e in one_of_each() {
-            assert_eq!(e.kind_tag().as_str(), e.kind());
-        }
     }
 
     #[test]

@@ -16,14 +16,18 @@
 //! reported so callers (the `gage-audit` binary, the CI smoke job) can fail
 //! on it.
 //!
-//! The fold matches on [`TraceKind`] exhaustively — no `_ =>` wildcard — so
-//! a newly added trace kind is a compile error here until someone decides
-//! how the auditor should treat it (enforced by the `trace-kind-exhaustive`
-//! lint rule).
+//! The fold matches on [`TraceEvent`] exhaustively, so a newly added trace
+//! kind is a compile error here until someone decides how the auditor
+//! should treat it. The two clippy lints denied below reject a wildcard
+//! arm standing in for the missing variants (CI runs clippy with
+//! `-D warnings`).
 
-use gage_json::Json;
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
-use crate::TraceKind;
+use crate::{TraceEvent, TraceRecord};
 
 /// The three ways a request's timeline can end, mirroring the
 /// `offered == served + dropped + failed` conservation buckets.
@@ -211,73 +215,58 @@ impl SpanState {
     }
 }
 
-fn u64_field(rec: &Json, key: &str) -> Result<u64, String> {
-    rec.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("record missing u64 field {key:?}"))
-}
-
-fn sub_field(rec: &Json) -> Result<u32, String> {
-    Ok(u64_field(rec, "sub")? as u32)
-}
-
-/// Folds parsed dump records (from [`crate::parse_dump`]) into spans.
+/// Folds typed dump records (from [`crate::parse_dump`]) into spans.
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending record if one is malformed, has
-/// an unknown kind, references a request id before its `req_arrival`, or
-/// lands a second terminal state on a request.
-pub fn reconstruct_records(records: &[Json]) -> Result<SpanReport, String> {
+/// Returns a message naming the offending record if it references a
+/// request id before its `req_arrival` (or one too large for the dump),
+/// or lands a second terminal state on a request.
+pub fn reconstruct_records(records: &[TraceRecord]) -> Result<SpanReport, String> {
     // Request ids are assigned densely from 0 in emission order, so a
     // Vec indexed by id is both the natural store and deterministic.
     let mut states: Vec<Option<SpanState>> = Vec::new();
 
     // Looks up the live state for a request-scoped record; `req_arrival`
     // must come first because ids are born there.
-    fn state_of(
-        states: &mut [Option<SpanState>],
+    fn state_of<'a>(
+        states: &'a mut [Option<SpanState>],
         req: u64,
-        kind: TraceKind,
-    ) -> Result<&mut SpanState, String> {
-        states
+        kind: &str,
+    ) -> Result<&'a mut SpanState, String> {
+        let s = states
             .get_mut(req as usize)
             .and_then(Option::as_mut)
-            .ok_or_else(|| format!("req {req}: {} before req_arrival", kind.as_str()))
+            .ok_or_else(|| format!("req {req}: {kind} before req_arrival"))?;
+        s.span.records += 1;
+        Ok(s)
     }
 
     for (i, rec) in records.iter().enumerate() {
         let fail = |e: String| format!("record {i}: {e}");
-        let kind_str = rec
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| fail("missing kind".into()))?;
-        let kind =
-            TraceKind::parse(kind_str).ok_or_else(|| fail(format!("unknown kind {kind_str:?}")))?;
-        let t = u64_field(rec, "t_ns").map_err(&fail)?;
-        match kind {
+        let t = rec.at.as_nanos();
+        let kind = rec.event.kind();
+        match rec.event {
             // Cluster-level records carry no single request's identity;
             // the auditor consumes them separately (cycle mapping,
             // reservation scale) and the span fold skips them.
-            TraceKind::SchedCycle => {}
-            TraceKind::AcctReport => {}
-            TraceKind::NodeLoad => {}
-            TraceKind::NodeDown => {}
-            TraceKind::NodeUp => {}
-            TraceKind::RpnCrash => {}
-            TraceKind::RpnRecover => {}
-            TraceKind::RoutesPurged => {}
-            TraceKind::ReservationScale => {}
-            TraceKind::Reservation => {}
-            TraceKind::QueueStats => {}
-            TraceKind::RdnCrash => {}
-            TraceKind::RdnRecover => {}
-            TraceKind::ReportGossip => {}
-            TraceKind::ShardTakeover => {}
-            TraceKind::AcctMerge => {}
-            TraceKind::ReqArrival => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let sub = sub_field(rec).map_err(&fail)?;
+            TraceEvent::SchedCycle { .. }
+            | TraceEvent::AcctReport { .. }
+            | TraceEvent::NodeLoad { .. }
+            | TraceEvent::NodeDown { .. }
+            | TraceEvent::NodeUp { .. }
+            | TraceEvent::RpnCrash { .. }
+            | TraceEvent::RpnRecover { .. }
+            | TraceEvent::RoutesPurged { .. }
+            | TraceEvent::ReservationScale { .. }
+            | TraceEvent::Reservation { .. }
+            | TraceEvent::QueueStats { .. }
+            | TraceEvent::RdnCrash { .. }
+            | TraceEvent::RdnRecover { .. }
+            | TraceEvent::ReportGossip { .. }
+            | TraceEvent::ShardTakeover { .. }
+            | TraceEvent::AcctMerge { .. } => {}
+            TraceEvent::ReqArrival { sub, req } => {
                 // Dense ids mean a complete dump holds at least `req + 1`
                 // records; a larger id is corrupt input, and sizing the
                 // store to it would abort on allocation.
@@ -296,67 +285,51 @@ pub fn reconstruct_records(records: &[Json]) -> Result<SpanReport, String> {
                 }
                 states[idx] = Some(SpanState::new(req, sub, t));
             }
-            TraceKind::Enqueue => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
+            TraceEvent::Enqueue { req, .. } => {
+                let s = state_of(&mut states, req, kind).map_err(fail)?;
                 s.last_enqueue_ns = Some(t);
                 if let Some(r) = s.retry_pending_ns.take() {
                     s.span.retry_backoff_ns += t.saturating_sub(r);
                 }
             }
-            TraceKind::Drop => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
+            TraceEvent::Drop { req, .. } => {
+                let s = state_of(&mut states, req, kind).map_err(fail)?;
                 s.span.sched_drops += 1;
             }
-            TraceKind::Dispatch => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
+            TraceEvent::Dispatch { req, .. } => {
+                let s = state_of(&mut states, req, kind).map_err(fail)?;
                 if let Some(e) = s.last_enqueue_ns.take() {
                     s.span.queue_wait_ns += t.saturating_sub(e);
                 }
                 s.last_dispatch_ns = Some(t);
             }
-            TraceKind::DispatchRequeued => {
+            TraceEvent::DispatchRequeued { req, .. } => {
                 // The dispatch was intercepted en route to a dead node and
                 // put back at the queue head: queue waiting resumes now.
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
+                let s = state_of(&mut states, req, kind).map_err(fail)?;
                 s.span.requeues += 1;
                 s.last_enqueue_ns = Some(t);
                 s.last_dispatch_ns = None;
             }
-            TraceKind::SpliceSetup => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
+            TraceEvent::SpliceSetup { req, .. } => {
+                let s = state_of(&mut states, req, kind).map_err(fail)?;
                 if let Some(d) = s.last_dispatch_ns.take() {
                     s.span.splice_ns += t.saturating_sub(d);
                 }
                 s.splice_open_ns = Some(t);
             }
-            TraceKind::SpliceTeardown => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
+            TraceEvent::SpliceTeardown { req, .. } => {
+                let s = state_of(&mut states, req, kind).map_err(fail)?;
                 if let Some(open) = s.splice_open_ns.take() {
                     s.span.service_ns += t.saturating_sub(open);
                 }
                 s.last_teardown_ns = Some(t);
             }
-            TraceKind::ReqComplete => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
+            TraceEvent::ReqComplete { req, .. } => {
+                state_of(&mut states, req, kind).map_err(fail)?;
             }
-            TraceKind::RequestRetry => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
+            TraceEvent::RequestRetry { req, .. } => {
+                let s = state_of(&mut states, req, kind).map_err(fail)?;
                 s.span.attempts += 1;
                 s.retry_pending_ns = Some(t);
                 // The timed-out attempt's partial stage markers are stale.
@@ -364,23 +337,17 @@ pub fn reconstruct_records(records: &[Json]) -> Result<SpanReport, String> {
                 s.last_dispatch_ns = None;
                 s.splice_open_ns = None;
             }
-            TraceKind::ReqServed => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
-                s.terminate(Terminal::Served, t).map_err(&fail)?;
+            TraceEvent::ReqServed { req, .. } => {
+                let s = state_of(&mut states, req, kind).map_err(fail)?;
+                s.terminate(Terminal::Served, t).map_err(fail)?;
             }
-            TraceKind::ReqDropped => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
-                s.terminate(Terminal::Dropped, t).map_err(&fail)?;
+            TraceEvent::ReqDropped { req, .. } => {
+                let s = state_of(&mut states, req, kind).map_err(fail)?;
+                s.terminate(Terminal::Dropped, t).map_err(fail)?;
             }
-            TraceKind::RequestFailed => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
-                s.terminate(Terminal::Failed, t).map_err(&fail)?;
+            TraceEvent::RequestFailed { req, .. } => {
+                let s = state_of(&mut states, req, kind).map_err(fail)?;
+                s.terminate(Terminal::Failed, t).map_err(fail)?;
             }
         }
     }
@@ -405,7 +372,7 @@ pub fn reconstruct(dump: &str) -> Result<SpanReport, String> {
     let (header, records) = crate::parse_dump(dump)?;
     let overwritten = header
         .get("overwritten")
-        .and_then(Json::as_u64)
+        .and_then(gage_json::Json::as_u64)
         .unwrap_or(0);
     if overwritten > 0 {
         return Err(format!(
@@ -601,7 +568,7 @@ mod tests {
         for req in [(1u64 << 53) - 1, 1 << 40] {
             let dump = format!(
                 "{{\"schema\":\"{}\"}}\n\
-                 {{\"kind\":\"req_arrival\",\"t_ns\":0,\"sub\":0,\"req\":{req}}}\n",
+                 {{\"seq\":0,\"t_ns\":0,\"kind\":\"req_arrival\",\"sub\":0,\"req\":{req}}}\n",
                 crate::TRACE_SCHEMA
             );
             let err = reconstruct(&dump).expect_err("out-of-range id");
@@ -612,6 +579,27 @@ mod tests {
             // `gage-audit` goes through the same fold.
             let config = crate::audit::AuditConfig::default();
             assert!(crate::audit::audit_dump(&dump, &config).is_err());
+        }
+    }
+
+    /// A field wider than its type is refused, not narrowed: `sub` is a
+    /// `u32`, and `2^32 + 1` once folded into subscriber 1.
+    #[test]
+    fn out_of_range_fields_are_rejected_not_narrowed() {
+        for (field, line) in [
+            ("\"sub\":4294967297,\"req\":0", "req_arrival"),
+            ("\"sub\":0,\"grps\":10,\"shard\":65536", "reservation"),
+        ] {
+            let dump = format!(
+                "{{\"schema\":\"{}\"}}\n\
+                 {{\"seq\":0,\"t_ns\":0,\"kind\":\"{line}\",{field}}}\n",
+                crate::TRACE_SCHEMA
+            );
+            let err = reconstruct(&dump).expect_err("out-of-range field");
+            assert!(err.contains("line 2") && err.contains(line), "{err}");
+            let config = crate::audit::AuditConfig::default();
+            let err = crate::audit::audit_dump(&dump, &config).expect_err("same reader");
+            assert!(err.contains("line 2") && err.contains(line), "{err}");
         }
     }
 
